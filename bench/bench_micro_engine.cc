@@ -1,7 +1,10 @@
 // Micro-benchmarks of the simulator itself (google-benchmark): event
-// dispatch, coroutine round trips, resource handoffs, and a full simulated
-// RDMA READ. These track the cost of the substrate — useful when deciding
-// how long a simulated window a bench can afford.
+// dispatch, coroutine round trips, resource handoffs, a full simulated RDMA
+// READ and an asynchronously posted WRITE. These track the cost of the
+// substrate — useful when deciding how long a simulated window a bench can
+// afford.
+
+#include <optional>
 
 #include <benchmark/benchmark.h>
 
@@ -77,6 +80,32 @@ void BM_SimulatedRdmaRead(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SimulatedRdmaRead);
+
+// QueuePair::PostWrite: the spawned-actor path every asynchronous post takes
+// (a Spawn wrapper frame around the WRITE task, completion pushed to the CQ).
+void BM_PostedRdmaWrite(benchmark::State& state) {
+  sim::Engine engine;
+  rdma::Fabric fabric(engine);
+  rdma::Node& a = fabric.AddNode("a");
+  rdma::Node& b = fabric.AddNode("b");
+  auto [qa, qb] = fabric.ConnectRc(a, b);
+  (void)qb;
+  rdma::MemoryRegion* local = a.RegisterMemory(4096, rdma::kAccessLocal);
+  rdma::MemoryRegion* remote = b.RegisterMemory(4096, rdma::kAccessRemoteWrite);
+  uint64_t wr_id = 0;
+  for (auto _ : state) {
+    qa->PostWrite(wr_id++, *local, 0, remote->remote_key(), 0, 32);
+    engine.Run();
+    std::optional<rdma::WorkCompletion> wc = qa->send_cq()->Poll();
+    benchmark::DoNotOptimize(wc);
+    if (!wc || !wc->ok()) {
+      state.SkipWithError("posted WRITE did not complete");
+      break;
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PostedRdmaWrite);
 
 void BM_HistogramRecord(benchmark::State& state) {
   sim::Histogram histogram;

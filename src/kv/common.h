@@ -65,9 +65,14 @@ inline size_t EncodePut(std::span<std::byte> out, std::span<const std::byte> key
   n += sizeof(ks);
   std::memcpy(out.data() + n, &vs, sizeof(vs));
   n += sizeof(vs);
-  std::memcpy(out.data() + n, key.data(), key.size());
+  // An empty span's data() may be null, which memcpy must not be given.
+  if (!key.empty()) {
+    std::memcpy(out.data() + n, key.data(), key.size());
+  }
   n += key.size();
-  std::memcpy(out.data() + n, value.data(), value.size());
+  if (!value.empty()) {
+    std::memcpy(out.data() + n, value.data(), value.size());
+  }
   n += value.size();
   return n;
 }

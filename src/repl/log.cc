@@ -20,9 +20,14 @@ size_t EncodeRecord(std::span<std::byte> out, const Record& record) {
   n += sizeof(ks);
   std::memcpy(out.data() + n, &vs, sizeof(vs));
   n += sizeof(vs);
-  std::memcpy(out.data() + n, record.key.data(), ks);
+  // An empty key or value's data() may be null, which memcpy must not be given.
+  if (ks != 0) {
+    std::memcpy(out.data() + n, record.key.data(), ks);
+  }
   n += ks;
-  std::memcpy(out.data() + n, record.value.data(), vs);
+  if (vs != 0) {
+    std::memcpy(out.data() + n, record.value.data(), vs);
+  }
   n += vs;
   return n;
 }

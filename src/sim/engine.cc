@@ -1,8 +1,10 @@
 #include "src/sim/engine.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
+#include "src/sim/frame_pool.h"
 #include "src/sim/schedule.h"
 
 namespace sim {
@@ -20,6 +22,11 @@ struct Detached {
     void return_void() noexcept {}
     // The wrapper body catches everything; reaching here is a logic error.
     void unhandled_exception() noexcept { std::terminate(); }
+
+    static void* operator new(size_t size) { return internal::AllocateFrame(size); }
+    static void operator delete(void* p, size_t size) noexcept {
+      internal::DeallocateFrame(p, size);
+    }
   };
 };
 
@@ -39,11 +46,37 @@ Detached RunDetached(Engine* engine, Task<void> task, uint64_t actor_id, Time sp
 
 }  // namespace
 
-void Engine::ScheduleAt(Time when, std::function<void()> fn) {
-  if (when < now_) {
-    when = now_;
+void Engine::Lane::Grow() {
+  std::vector<Entry> bigger(ring_.empty() ? 64 : ring_.size() * 2);
+  for (size_t i = 0; i < size_; ++i) {
+    bigger[i] = ring_[(head_ + i) & (ring_.size() - 1)];
   }
-  queue_.push(PendingEvent{when, next_seq_++, std::move(fn)});
+  ring_ = std::move(bigger);
+  head_ = 0;
+}
+
+void Engine::PushHeap(const Entry& e) {
+  heap_.push_back(e);
+  std::push_heap(heap_.begin(), heap_.end(), RunsLater);
+}
+
+Engine::Entry Engine::PopHeap() {
+  std::pop_heap(heap_.begin(), heap_.end(), RunsLater);
+  const Entry e = heap_.back();
+  heap_.pop_back();
+  return e;
+}
+
+void Engine::ScheduleAt(Time when, std::function<void()> fn) {
+  std::function<void()>* slot;
+  if (free_callbacks_.empty()) {
+    slot = &callbacks_.emplace_back(std::move(fn));
+  } else {
+    slot = free_callbacks_.back();
+    free_callbacks_.pop_back();
+    *slot = std::move(fn);
+  }
+  Push(when, slot, /*callback=*/true);
 }
 
 void Engine::Spawn(Task<void> task) {
@@ -58,54 +91,66 @@ void Engine::ActorDone(std::exception_ptr e) {
   }
 }
 
+void Engine::Fire(const Entry& e) {
+  now_ = e.when;
+  ++events_processed_;
+  if ((e.seq & 1) == 0) {
+    std::coroutine_handle<>::from_address(e.target).resume();
+    return;
+  }
+  // Move the callback out and free its slot before running it, so the slot
+  // is reusable by whatever the callback schedules.
+  auto* slot = static_cast<std::function<void()>*>(e.target);
+  std::function<void()> fn = std::move(*slot);
+  *slot = nullptr;
+  free_callbacks_.push_back(slot);
+  fn();
+}
+
 void Engine::DispatchOne() {
   if (policy_ != nullptr) {
     DispatchOneWithPolicy();
     return;
   }
-  // Moving out of the const top() is not allowed; copy the function handle
-  // out through a const_cast-free path by re-popping into a local.
-  PendingEvent ev = queue_.top();
-  queue_.pop();
-  now_ = ev.when;
-  ++events_processed_;
-  ev.fn();
+  Fire(PopNext());
 }
 
 void Engine::DispatchOneWithPolicy() {
-  // Drain the full ready set for the next instant. Heap order yields the
-  // same-timestamp events in ascending seq, so the ready set the policy sees
-  // is indexed in FIFO order: choice 0 always means "what FIFO would do".
+  // Gather the full ready set for the next instant in seq order: the heap
+  // entries due then (heap order yields them in ascending seq), followed by
+  // the lane, which is non-empty only when that instant is now() and whose
+  // entries were all queued after the heap's. Choice 0 therefore always
+  // means "what FIFO would do".
+  const Time instant = NextTime();
   ready_scratch_.clear();
-  ready_scratch_.push_back(queue_.top());
-  queue_.pop();
-  const Time instant = ready_scratch_.front().when;
-  while (!queue_.empty() && queue_.top().when == instant) {
-    ready_scratch_.push_back(queue_.top());
-    queue_.pop();
+  while (!heap_.empty() && heap_.front().when == instant) {
+    ready_scratch_.push_back(PopHeap());
+  }
+  while (!lane_.empty()) {
+    ready_scratch_.push_back(lane_.pop_front());
   }
   size_t pick = 0;
   if (ready_scratch_.size() > 1) {
     pick = policy_->ChooseAndRecord(ready_scratch_.size());
   }
-  PendingEvent chosen = std::move(ready_scratch_[pick]);
-  // Unchosen events go back with their original seq: relative FIFO order
-  // among them is preserved, so the next decision point sees a ready set
-  // that differs from this one only by the removal of `chosen` (plus
-  // whatever `chosen` itself schedules at this instant).
+  const Entry chosen = ready_scratch_[pick];
+  // Unchosen events go back, with their original seq and in seq order, to
+  // the lane (now empty, and due at `instant`, which becomes now()): the
+  // next decision point sees a ready set that differs from this one only by
+  // the removal of `chosen`, plus whatever `chosen` itself schedules at this
+  // instant, which queues behind them.
+  now_ = instant;
   for (size_t i = 0; i < ready_scratch_.size(); ++i) {
     if (i != pick) {
-      queue_.push(std::move(ready_scratch_[i]));
+      lane_.push_back(ready_scratch_[i]);
     }
   }
   ready_scratch_.clear();
-  now_ = chosen.when;
-  ++events_processed_;
-  chosen.fn();
+  Fire(chosen);
 }
 
 void Engine::Run() {
-  while (!queue_.empty() && !actor_failure_) {
+  while (!QueueEmpty() && !actor_failure_) {
     DispatchOne();
   }
   if (actor_failure_) {
@@ -115,10 +160,11 @@ void Engine::Run() {
 }
 
 bool Engine::RunUntil(Time deadline) {
-  while (!queue_.empty() && !actor_failure_) {
-    if (queue_.top().when > deadline) {
-      now_ = deadline;
-      return false;
+  bool drained = true;
+  while (!QueueEmpty() && !actor_failure_) {
+    if (NextTime() > deadline) {
+      drained = false;
+      break;
     }
     DispatchOne();
   }
@@ -126,8 +172,8 @@ bool Engine::RunUntil(Time deadline) {
     std::exception_ptr e = std::exchange(actor_failure_, nullptr);
     std::rethrow_exception(e);
   }
-  now_ = deadline;
-  return true;
+  now_ = std::max(now_, deadline);
+  return drained;
 }
 
 }  // namespace sim

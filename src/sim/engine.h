@@ -1,11 +1,21 @@
 // Discrete-event simulation engine.
 //
-// The engine owns a virtual clock and a priority queue of pending events.
-// Actors are coroutines (see task.h) that suspend on awaitables — Sleep(),
+// The engine owns a virtual clock and a queue of pending events. Actors are
+// coroutines (see task.h) that suspend on awaitables — Sleep(),
 // Resource::Acquire(), Event::Wait() — and are resumed by the engine when
-// their wake-up event fires. Events at equal timestamps run in FIFO order
-// (a monotonically increasing sequence number breaks ties), which makes
-// every simulation fully deterministic for a given seed.
+// their wake-up event fires. Events run in (time, sequence number) order: a
+// monotonically increasing sequence number breaks ties, so events at equal
+// timestamps run in FIFO order and every simulation is fully deterministic
+// for a given seed.
+//
+// The queue is two structures holding 24-byte Entry records. Events due
+// later than now() go to a min-heap; events due at now() (wake-ups from
+// Yield, Notifier, Resource handoffs, zero-delay callbacks) go to a FIFO
+// lane. Every heap entry due at now() was queued before the clock reached
+// now(), so it has a lower sequence number than every lane entry and runs
+// first; the two together dispatch in exactly (time, seq) order. An entry's
+// target is a coroutine frame, or a ScheduleAt() callback kept in a slab, so
+// resuming a coroutine never builds a std::function.
 //
 // The FIFO tie-break can be overridden with a SchedulePolicy (schedule.h):
 // when a policy is installed, every instant with more than one ready event
@@ -18,9 +28,9 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "src/sim/task.h"
@@ -73,9 +83,9 @@ class Engine {
     ScheduleAt(now_ + delay, std::move(fn));
   }
 
-  // Resumes `handle` at absolute virtual time `when`.
+  // Resumes `handle` at absolute virtual time `when` (clamped to now()).
   void ResumeAt(Time when, std::coroutine_handle<> handle) {
-    ScheduleAt(when, [handle] { handle.resume(); });
+    Push(when, handle.address(), /*callback=*/false);
   }
 
   // Awaitable: suspends the current coroutine for `delay` virtual nanoseconds.
@@ -119,8 +129,10 @@ class Engine {
   // Runs until the event queue drains. Rethrows the first actor exception.
   void Run();
 
-  // Runs until the event queue drains or virtual time would exceed `deadline`.
-  // Returns true if the queue drained.
+  // Runs until the event queue drains or virtual time would exceed `deadline`,
+  // then advances the clock to `deadline`. A deadline before now() runs
+  // nothing and leaves the clock where it is. Returns true if the queue
+  // drained.
   bool RunUntil(Time deadline);
 
   // Convenience: RunUntil(now() + duration).
@@ -131,23 +143,73 @@ class Engine {
   void ActorDone(std::exception_ptr e);
 
  private:
-  struct PendingEvent {
+  // One pending event. `seq` is the schedule sequence number shifted left
+  // by one, with bit 0 set when `target` is a std::function<void()> in
+  // callbacks_ rather than a coroutine frame; ordering by it is ordering by
+  // sequence number.
+  struct Entry {
     Time when;
     uint64_t seq;
-    std::function<void()> fn;
+    void* target;
   };
 
-  struct EventOrder {
-    bool operator()(const PendingEvent& a, const PendingEvent& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;  // min-heap on time
+  // FIFO of entries due at now(), in seq order. A power-of-two ring, so a
+  // long same-instant burst reuses its storage.
+  class Lane {
+   public:
+    bool empty() const { return size_ == 0; }
+    void push_back(const Entry& e) {
+      if (size_ == ring_.size()) {
+        Grow();
       }
-      return a.seq > b.seq;  // FIFO within an instant
+      ring_[(head_ + size_) & (ring_.size() - 1)] = e;
+      ++size_;
     }
+    Entry pop_front() {
+      const Entry e = ring_[head_];
+      head_ = (head_ + 1) & (ring_.size() - 1);
+      --size_;
+      return e;
+    }
+
+   private:
+    void Grow();
+
+    std::vector<Entry> ring_;
+    size_t head_ = 0;
+    size_t size_ = 0;
   };
+
+  // Heap order: std::push_heap/pop_heap keep the greatest element on top,
+  // so the entry that runs last compares least.
+  static bool RunsLater(const Entry& a, const Entry& b) {
+    return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+  }
+
+  void Push(Time when, void* target, bool callback) {
+    const uint64_t seq = (next_seq_++ << 1) | static_cast<uint64_t>(callback);
+    if (when <= now_) {
+      lane_.push_back(Entry{now_, seq, target});
+    } else {
+      PushHeap(Entry{when, seq, target});
+    }
+  }
+  void PushHeap(const Entry& e);
+  Entry PopHeap();
+  // Removes the next entry in (when, seq) order. Requires a non-empty queue.
+  Entry PopNext() {
+    if (!heap_.empty() && (lane_.empty() || heap_.front().when <= now_)) {
+      return PopHeap();
+    }
+    return lane_.pop_front();
+  }
+  bool QueueEmpty() const { return heap_.empty() && lane_.empty(); }
+  // Time of the next entry. Requires a non-empty queue.
+  Time NextTime() const { return lane_.empty() ? heap_.front().when : now_; }
 
   void DispatchOne();
   void DispatchOneWithPolicy();
+  void Fire(const Entry& e);
 
   Time now_ = 0;
   TraceSink* trace_ = nullptr;
@@ -157,8 +219,12 @@ class Engine {
   uint64_t events_processed_ = 0;
   int live_actors_ = 0;
   std::exception_ptr actor_failure_;
-  std::priority_queue<PendingEvent, std::vector<PendingEvent>, EventOrder> queue_;
-  std::vector<PendingEvent> ready_scratch_;  // policy path: same-instant ready set
+  std::vector<Entry> heap_;  // min-heap on (when, seq)
+  Lane lane_;
+  // ScheduleAt() callbacks; a deque, so queued entries' pointers stay valid.
+  std::deque<std::function<void()>> callbacks_;
+  std::vector<std::function<void()>*> free_callbacks_;  // empty slots in callbacks_
+  std::vector<Entry> ready_scratch_;  // policy path: same-instant ready set
 };
 
 }  // namespace sim

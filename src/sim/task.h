@@ -10,13 +10,18 @@
 // Exceptions thrown inside a task propagate to the awaiter; exceptions that
 // escape a detached actor are captured by the Engine and rethrown from
 // Engine::Run(), so tests fail loudly instead of deadlocking.
+//
+// Task frames are allocated from a per-thread FramePool (frame_pool.h).
 
 #ifndef SRC_SIM_TASK_H_
 #define SRC_SIM_TASK_H_
 
 #include <coroutine>
+#include <cstddef>
 #include <exception>
 #include <utility>
+
+#include "src/sim/frame_pool.h"
 
 namespace sim {
 
@@ -27,6 +32,9 @@ namespace internal {
 
 class PromiseBase {
  public:
+  static void* operator new(size_t size) { return AllocateFrame(size); }
+  static void operator delete(void* p, size_t size) noexcept { DeallocateFrame(p, size); }
+
   // Resumes whoever co_awaited this task once the task's body finishes.
   struct FinalAwaiter {
     bool await_ready() const noexcept { return false; }

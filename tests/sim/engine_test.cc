@@ -98,6 +98,34 @@ TEST(EngineTest, RunForIsRelative) {
   EXPECT_EQ(engine.now(), Micros(20));
 }
 
+TEST(EngineTest, DeadlineInThePastLeavesClockAlone) {
+  Engine engine;
+  std::vector<int> order;
+  engine.ScheduleAt(Micros(12), [&] { order.push_back(12); });
+  EXPECT_FALSE(engine.RunUntil(Micros(10)));
+  ASSERT_EQ(engine.now(), Micros(10));
+
+  EXPECT_FALSE(engine.RunUntil(Micros(5)));
+  EXPECT_EQ(engine.now(), Micros(10));
+  EXPECT_FALSE(engine.RunFor(-Micros(3)));
+  EXPECT_EQ(engine.now(), Micros(10));
+  EXPECT_TRUE(order.empty());
+
+  // Events queued at now() while a past deadline is pending stay runnable
+  // and keep (time, seq) order with the later event.
+  engine.ScheduleAt(engine.now(), [&] { order.push_back(10); });
+  EXPECT_FALSE(engine.RunUntil(Micros(1)));
+  EXPECT_TRUE(order.empty());
+  EXPECT_EQ(engine.now(), Micros(10));
+  EXPECT_TRUE(engine.RunUntil(Micros(20)));
+  EXPECT_EQ(order, (std::vector<int>{10, 12}));
+  EXPECT_EQ(engine.now(), Micros(20));
+
+  // A drained queue with a past deadline also keeps the clock.
+  EXPECT_TRUE(engine.RunUntil(Micros(15)));
+  EXPECT_EQ(engine.now(), Micros(20));
+}
+
 TEST(EngineTest, SpawnTracksLiveActors) {
   Engine engine;
   engine.Spawn([](Engine& e) -> Task<void> { co_await e.Sleep(Micros(1)); }(engine));

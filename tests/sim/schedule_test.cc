@@ -160,5 +160,46 @@ TEST(SchedulePolicyTest, PastScheduleClampsUnderReplayKeepingTraceStable) {
   EXPECT_EQ(run(&replay), sampled);
 }
 
+TEST(SchedulePolicyTest, SameInstantWakeupsJoinTheReadySetInSeqOrder) {
+  // A and B are queued for 5 us before the clock gets there; A then queues
+  // three events for its own instant: a callback at now(), a callback in the
+  // past (clamped to now()) and its own Yield(). Those three have higher
+  // sequence numbers than B, so the ready sets are {A, B}, then
+  // {B, now, past, yield}, and so on: index k always names the k-th lowest
+  // seq among the events still pending.
+  auto run = [](SchedulePolicy* policy) {
+    Engine engine;
+    engine.set_schedule_policy(policy);
+    std::vector<std::string> order;
+    engine.Spawn([](Engine& eng, std::vector<std::string>* out) -> Task<void> {
+      co_await eng.Sleep(Micros(5));
+      out->push_back("A");
+      eng.ScheduleAt(eng.now(), [out] { out->push_back("now"); });
+      eng.ScheduleAt(Micros(1), [out] { out->push_back("past"); });
+      co_await eng.Yield();
+      out->push_back("yield");
+    }(engine, &order));
+    engine.ScheduleAt(Micros(5), [&order] { order.push_back("B"); });
+    engine.Run();
+    return order;
+  };
+
+  using Order = std::vector<std::string>;
+  FifoPolicy fifo;
+  EXPECT_EQ(run(&fifo), (Order{"A", "B", "now", "past", "yield"}));
+  EXPECT_EQ(run(nullptr), (Order{"A", "B", "now", "past", "yield"}));
+  std::vector<uint32_t> arities;
+  for (const Decision& d : fifo.decisions()) {
+    arities.push_back(d.arity);
+  }
+  EXPECT_EQ(arities, (std::vector<uint32_t>{2, 4, 3, 2}));
+
+  // {A, B} -> A; {B, now, past, yield} -> past; {B, now, yield} -> yield;
+  // {B, now} -> now; then B alone.
+  ReplayPolicy replay(DecisionTrace{0, 2, 2, 1});
+  replay.set_strict(true);
+  EXPECT_EQ(run(&replay), (Order{"A", "past", "yield", "now", "B"}));
+}
+
 }  // namespace
 }  // namespace sim
