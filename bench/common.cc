@@ -372,6 +372,8 @@ void MergeChannelStats(rfp::Channel::Stats& into, const rfp::Channel::Stats& fro
   into.batched_ops += from.batched_ops;
   into.coalesced_fetches += from.coalesced_fetches;
   into.coalesced_slots += from.coalesced_slots;
+  into.coalesced_writes += from.coalesced_writes;
+  into.coalesced_write_slots += from.coalesced_write_slots;
   into.zero_copy_sends += from.zero_copy_sends;
   into.zero_copy_fetches += from.zero_copy_fetches;
   into.zero_copy_bytes += from.zero_copy_bytes;
@@ -440,14 +442,25 @@ void PrintTitle(const std::string& title) {
   std::printf("\n=== %s ===\n", title.c_str());
 }
 
+namespace {
+
+// One table line: cells padded to kColumnWidth, and a cell that fills the
+// width still gets a separating space.
+void PrintCells(const std::vector<std::string>& cells) {
+  for (const auto& c : cells) {
+    std::printf("%-*s%s", kColumnWidth, c.c_str(),
+                c.size() >= static_cast<size_t>(kColumnWidth) ? " " : "");
+  }
+  std::printf("\n");
+}
+
+}  // namespace
+
 void PrintHeader(const std::vector<std::string>& columns) {
   if (CaptureRows()) {
     CurrentTable().columns = columns;
   }
-  for (const auto& c : columns) {
-    std::printf("%-*s", kColumnWidth, c.c_str());
-  }
-  std::printf("\n");
+  PrintCells(columns);
   for (size_t i = 0; i < columns.size() * kColumnWidth; ++i) {
     std::printf("-");
   }
@@ -458,10 +471,7 @@ void PrintRow(const std::vector<std::string>& cells) {
   if (CaptureRows()) {
     CurrentTable().rows.push_back(cells);
   }
-  for (const auto& c : cells) {
-    std::printf("%-*s", kColumnWidth, c.c_str());
-  }
-  std::printf("\n");
+  PrintCells(cells);
   std::fflush(stdout);
 }
 

@@ -490,6 +490,10 @@ rfp::Channel::Stats JakiroClient::MergedChannelStats() const {
     merged.fetch_timeouts += s.fetch_timeouts;
     merged.doorbell_batches += s.doorbell_batches;
     merged.batched_ops += s.batched_ops;
+    merged.coalesced_fetches += s.coalesced_fetches;
+    merged.coalesced_slots += s.coalesced_slots;
+    merged.coalesced_writes += s.coalesced_writes;
+    merged.coalesced_write_slots += s.coalesced_write_slots;
     merged.zero_copy_sends += s.zero_copy_sends;
     merged.zero_copy_fetches += s.zero_copy_fetches;
     merged.zero_copy_bytes += s.zero_copy_bytes;

@@ -155,6 +155,12 @@ Channel::~Channel() {
     reg.GetCounter("rfp.channel.coalesced_fetches", labels)->Add(stats_.coalesced_fetches);
     reg.GetCounter("rfp.channel.coalesced_slots", labels)->Add(stats_.coalesced_slots);
   }
+  // Coalesced-write counters register only when a request WRITE spanned slots.
+  if (stats_.coalesced_writes > 0) {
+    reg.GetCounter("rfp.channel.coalesced_writes", labels)->Add(stats_.coalesced_writes);
+    reg.GetCounter("rfp.channel.coalesced_write_slots", labels)
+        ->Add(stats_.coalesced_write_slots);
+  }
   // Zero-copy counters register only when indirect responses were sent.
   if (stats_.zero_copy_sends > 0) {
     reg.GetCounter("rfp.channel.zero_copy_sends", labels)->Add(stats_.zero_copy_sends);
@@ -1168,14 +1174,28 @@ sim::Task<void> Channel::FlushCalls() {
     co_return;
   }
   const sim::Time start = engine_.now();
+  // Size rule for merging: the in-bound engine serves a WRITE in
+  // max(gap, bytes / bandwidth), so each slot may add up to
+  // max(gap x bandwidth, its own bytes) to a span (~400 B at the defaults)
+  // without the span costing more in-bound — or out-bound, whose per-op
+  // cost is at least the gap — than separate WRITEs would.
+  const rdma::NicConfig& nic = fabric_->config().nic;
+  const double gap_bytes = nic.inbound_min_gap_ns * nic.bandwidth_bytes_per_ns;
   std::vector<BatchOp> ops;
+  std::vector<int> op_slots;  // staged slots each op carries
   std::vector<int> slots;
+  std::vector<uint16_t> seqs;
   ops.reserve(static_cast<size_t>(staged_count_));
   slots.reserve(static_cast<size_t>(staged_count_));
   check::FabricChecker* chk = fabric_->checker();
+  bool run_open = false;  // ops.back() ends at the previous slot, staged
+  double run_budget = 0;
   for (int s = 0; s < options_.window; ++s) {
-    const ClientSlot& cs = cslot(s);
+    ClientSlot& cs = cslot(s);
     if (cs.state != ClientSlot::State::kStaged) {
+      // A posted or free slot splits the run: its staging bytes (stale
+      // header, stale mode byte) must never re-land on the server.
+      run_open = false;
       continue;
     }
     // Refresh the staged header's mode byte: the channel may have switched
@@ -1185,18 +1205,52 @@ sim::Task<void> Channel::FlushCalls() {
     if (chk != nullptr) {
       chk->OnCpuStore(client_.remote_key().rkey, client_.abs(req_off(s) + kRequestModeOffset), 1);
     }
-    ops.push_back({/*is_read=*/false, req_off(s), req_off(s),
-                   kReqHeaderBytes + cs.req_bytes});
+    const uint32_t bytes = kReqHeaderBytes + cs.req_bytes;
+    const double allowance = std::max(gap_bytes, static_cast<double>(bytes));
+    const size_t span_end = req_off(s) + bytes;
+    if (run_open &&
+        static_cast<double>(span_end - ops.back().local_off) <= run_budget + allowance) {
+      ops.back().len = static_cast<uint32_t>(span_end - ops.back().local_off);
+      ++op_slots.back();
+      run_budget += allowance;
+    } else {
+      ops.push_back({/*is_read=*/false, req_off(s), req_off(s), bytes});
+      op_slots.push_back(1);
+      run_budget = allowance;
+      run_open = true;
+    }
+    // Posted from here on: a concurrent flush must not post the slot again.
+    cs.state = ClientSlot::State::kPosted;
     slots.push_back(s);
+    seqs.push_back(cs.seq);
   }
-  co_await RcBatch(/*from_client=*/true, ops, "request batch write");
-  for (int s : slots) {
-    cslot(s).state = ClientSlot::State::kPosted;
-    ++stats_.calls;
-    ++stats_.request_writes;
-    ++posted_count_;
+  staged_count_ -= static_cast<int>(slots.size());
+  posted_count_ += static_cast<int>(slots.size());
+  try {
+    co_await RcBatch(/*from_client=*/true, ops, "request batch write");
+  } catch (...) {
+    // Unposted after all: back to staged, so a later flush retries them
+    // (unless the caller already abandoned or reused the slot).
+    for (size_t i = 0; i < slots.size(); ++i) {
+      ClientSlot& cs = cslot(slots[i]);
+      if (cs.state == ClientSlot::State::kPosted && cs.seq == seqs[i]) {
+        cs.state = ClientSlot::State::kStaged;
+        --posted_count_;
+        ++staged_count_;
+      }
+    }
+    throw;
   }
-  staged_count_ = 0;
+  // One request WRITE per call still (Table-3 semantics); the coalesced
+  // counters say how many wire WRITEs carried them.
+  stats_.calls += slots.size();
+  stats_.request_writes += slots.size();
+  for (const int n : op_slots) {
+    if (n > 1) {
+      ++stats_.coalesced_writes;
+      stats_.coalesced_write_slots += static_cast<uint64_t>(n);
+    }
+  }
   client_busy_.AddBusy(engine_.now() - start);
 }
 
@@ -1807,6 +1861,11 @@ sim::Task<std::vector<rdma::WorkCompletion>> Channel::RcBatch(bool from_client,
     rdma::QueuePair* qp = from_client ? client_qp_ : server_qp_;
     const RingView& local = from_client ? client_ : server_;
     const RingView& remote = from_client ? server_ : client_;
+    // Op i posts as wr_id first + i: unique on this channel, so concurrent
+    // batches never confuse each other's completions (or the checker's
+    // per-QP post order).
+    const uint64_t first = next_wr_id_;
+    next_wr_id_ += ops.size();
     size_t posted = 0;
     for (size_t i = 0; i < ops.size(); ++i) {
       if (done[i]) {
@@ -1816,11 +1875,11 @@ sim::Task<std::vector<rdma::WorkCompletion>> Channel::RcBatch(bool from_client,
       // Every WR after the first rides the leader's doorbell at the batched
       // marginal issue cost (see rdma::NicConfig::outbound_batch_marginal_ns).
       if (op.is_read) {
-        qp->PostRead(i, *local.mr, local.abs(op.local_off), remote.remote_key(),
+        qp->PostRead(first + i, *local.mr, local.abs(op.local_off), remote.remote_key(),
                      remote.abs(op.remote_off), op.len,
                      /*batch_follower=*/posted > 0);
       } else {
-        qp->PostWrite(i, *local.mr, local.abs(op.local_off), remote.remote_key(),
+        qp->PostWrite(first + i, *local.mr, local.abs(op.local_off), remote.remote_key(),
                       remote.abs(op.remote_off), op.len,
                       /*batch_follower=*/posted > 0);
       }
@@ -1831,14 +1890,15 @@ sim::Task<std::vector<rdma::WorkCompletion>> Channel::RcBatch(bool from_client,
     stats_.batched_ops += posted - 1;
     bool qp_error = false;
     for (size_t c = 0; c < posted; ++c) {
-      const rdma::WorkCompletion wc = co_await qp->send_cq()->Wait();
-      out[wc.wr_id] = wc;
+      const rdma::WorkCompletion wc = co_await ReapCompletion(qp->send_cq(), first, ops.size());
+      const size_t i = static_cast<size_t>(wc.wr_id - first);
+      out[i] = wc;
       if (wc.status == rdma::WcStatus::kQpError) {
         qp_error = true;
         continue;
       }
       CheckOk(wc, what);
-      done[wc.wr_id] = 1;
+      done[i] = 1;
       --remaining;
     }
     if (remaining == 0) {
@@ -1854,6 +1914,36 @@ sim::Task<std::vector<rdma::WorkCompletion>> Channel::RcBatch(bool from_client,
     co_await EnsureConnected(qp);
   }
   co_return out;
+}
+
+sim::Task<rdma::WorkCompletion> Channel::ReapCompletion(rdma::CompletionQueue* cq,
+                                                        uint64_t first, size_t count) {
+  const auto mine = [first, count](const rdma::WorkCompletion& wc) {
+    return wc.wr_id - first < count;
+  };
+  while (true) {
+    const auto parked = std::find_if(reaped_.begin(), reaped_.end(), mine);
+    if (parked != reaped_.end()) {
+      const rdma::WorkCompletion wc = *parked;
+      reaped_.erase(parked);
+      co_return wc;
+    }
+    if (std::find(reaping_.begin(), reaping_.end(), cq) != reaping_.end()) {
+      // Another batch is waiting on this CQ; it hands our completions over.
+      co_await reap_waiters_.Wait();
+      continue;
+    }
+    reaping_.push_back(cq);
+    const rdma::WorkCompletion wc = co_await cq->Wait();
+    reaping_.erase(std::find(reaping_.begin(), reaping_.end(), cq));
+    // Parked batches re-check: one may own `wc`, or must take over the CQ.
+    // A lone batch wakes nobody, so its event schedule is unchanged.
+    reap_waiters_.NotifyAll();
+    if (mine(wc)) {
+      co_return wc;
+    }
+    reaped_.push_back(wc);
+  }
 }
 
 // ---- Overload protection (docs/overload.md) ----------------------------------

@@ -42,6 +42,7 @@
 #include "src/rfp/wire.h"
 #include "src/sim/cpu.h"
 #include "src/sim/random.h"
+#include "src/sim/signal.h"
 #include "src/sim/stats.h"
 #include "src/sim/task.h"
 
@@ -136,6 +137,10 @@ class Channel {
     // Coalesced fetching (docs/multicore.md; zero unless coalesced_fetch).
     uint64_t coalesced_fetches = 0;  // spanning READs issued by fetch sweeps
     uint64_t coalesced_slots = 0;    // pending slots those spans covered
+    // Coalesced request posting (docs/pipelining.md; zero on window=1
+    // channels and whenever the size rule keeps every slot its own WRITE).
+    uint64_t coalesced_writes = 0;       // request WRITEs spanning >= 2 slots
+    uint64_t coalesced_write_slots = 0;  // staged slots those WRITEs carried
     // Zero-copy GET (docs/memory.md; zero unless ServerSendZeroCopy is used).
     uint64_t zero_copy_sends = 0;      // indirect descriptors published
     uint64_t zero_copy_fetches = 0;    // client entry READs issued
@@ -227,7 +232,9 @@ class Channel {
                                    const CallOptions& opts = {});
 
   // Posts every staged request in one doorbell batch (the first WRITE pays
-  // the full out-bound issue cost, followers the batched marginal). No-op on
+  // the full out-bound issue cost, followers the batched marginal). A run of
+  // adjacent staged slots rides one spanning WRITE while the span costs the
+  // NIC no more than separate WRITEs would (docs/pipelining.md). No-op on
   // window=1 channels or when nothing is staged; AwaitCall flushes
   // implicitly.
   sim::Task<void> FlushCalls();
@@ -476,10 +483,17 @@ class Channel {
   // Posts all `ops` on the channel's RC pair in one doorbell batch (the
   // first WR pays the full issue cost, followers the batched marginal) and
   // collects their completions, reconnecting and re-posting unfinished ops
-  // on a QP error. Returns completions indexed like `ops`.
+  // on a QP error. Returns completions indexed like `ops`. Safe to run from
+  // several actors at once: wr_ids are channel-unique and each completion
+  // reaches the batch that posted it.
   sim::Task<std::vector<rdma::WorkCompletion>> RcBatch(bool from_client,
                                                        const std::vector<BatchOp>& ops,
                                                        const char* what);
+  // Next completion on `cq` whose wr_id lies in [first, first + count).
+  // One actor at a time waits on a CQ; it parks completions that belong to
+  // other batches in `reaped_` and wakes their owners.
+  sim::Task<rdma::WorkCompletion> ReapCompletion(rdma::CompletionQueue* cq, uint64_t first,
+                                                 size_t count);
   // One batched fetch sweep: READs the awaited slot first (it leads the
   // doorbell), piggybacking READs for every other in-flight fetch-mode slot.
   sim::Task<void> FetchSweep(int primary);
@@ -630,6 +644,12 @@ class Channel {
   int posted_count_ = 0;
   int last_recv_slot_ = 0;  // slot of the request TryServerRecv returned
   int recv_rr_ = 0;         // round-robin start of the server's slot scan
+
+  // RcBatch completion routing (see ReapCompletion).
+  uint64_t next_wr_id_ = 0;
+  std::vector<rdma::WorkCompletion> reaped_;      // parked for another batch
+  std::vector<rdma::CompletionQueue*> reaping_;   // CQs with an actor waiting
+  sim::Notifier reap_waiters_{engine_};           // batches parked on a busy CQ
 
   // Server state.
   uint16_t last_recv_seq_ = 0;

@@ -1,6 +1,7 @@
 // Failure semantics of pipelined (window > 1) channels: deadlines, BUSY
 // shedding, and crash-reissue must work per slot while other slots of the
-// same channel are in flight (docs/pipelining.md §5). The channel-level
+// same channel are in flight (docs/pipelining.md §5), and a QP error must
+// re-post a coalesced request WRITE whole. The channel-level
 // behaviors are pinned by tests/rfp/ and tests/fault/fault_matrix_test.cc
 // for window=1; these cases interleave them across a slot ring.
 
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/check/checker.h"
 #include "src/rdma/fabric.h"
 #include "src/rfp/channel.h"
 #include "src/rfp/options.h"
@@ -192,6 +194,69 @@ TEST_F(PipelineFaultTest, CrashReissueAcrossSlots) {
   EXPECT_EQ(server.thread_crashes(), 1u);
   // The dark window forced at least one slot onto the re-issue path.
   EXPECT_GE(channel->stats().fetch_timeouts + channel->stats().reissues, 1u);
+}
+
+// The RC pair dies while four small requests sit staged: the flush's one
+// spanning WRITE completes with a QP error, the channel reconnects, and the
+// span is re-posted whole — one wire WRITE carries all four slots again. Each
+// request executes exactly once and every call completes, strict-clean.
+TEST(PipelineFaultStrictTest, QpErrorRepostsCoalescedSpanWhole) {
+  check::ScopedMode strict(check::Mode::kStrict);
+  sim::Engine engine;
+  rdma::Fabric fabric(engine);
+  rdma::Node& server_node = fabric.AddNode("server");
+  rdma::Node& client_node = fabric.AddNode("client");
+  rfp::RpcServer server(fabric, server_node, 1);
+  int executed = 0;
+  server.RegisterHandler(3, [&executed](const rfp::HandlerContext&,
+                                        std::span<const std::byte> req,
+                                        std::span<std::byte> resp) -> rfp::HandlerResult {
+    ++executed;
+    std::memcpy(resp.data(), req.data(), req.size());
+    return rfp::HandlerResult{req.size(), sim::Nanos(300)};
+  });
+  rfp::RfpOptions options;
+  options.window = 4;
+  options.max_message_bytes = 64;
+  options.force_mode = rfp::RfpOptions::ForceMode::kForceFetch;
+  options.reconnect_delay_ns = sim::Micros(2);
+  rfp::Channel* channel = server.AcceptChannel(client_node, options, 0);
+  rfp::RpcClient client(channel);
+  server.Start();
+
+  int completed = 0;
+  engine.Spawn([](rfp::RpcServer* srv, rfp::RpcClient* cl, rdma::Node* node,
+                  int* done) -> sim::Task<void> {
+    std::vector<rfp::Channel::CallHandle> handles;
+    for (int i = 0; i < 4; ++i) {
+      handles.push_back(co_await cl->SubmitCall(3, AsBytes("span-" + std::to_string(i))));
+    }
+    cl->channel()->Detach();
+    const uint64_t before = node->nic().outbound_ops();
+    co_await cl->channel()->FlushCalls();
+    // The errored post never reached the wire; the re-post is the one span.
+    EXPECT_EQ(node->nic().outbound_ops() - before, 1u);
+    std::vector<std::byte> out(64);
+    for (int i = 0; i < 4; ++i) {
+      const size_t got = co_await cl->AwaitCall(handles[static_cast<size_t>(i)], out);
+      EXPECT_EQ(std::string(reinterpret_cast<const char*>(out.data()), got),
+                "span-" + std::to_string(i));
+      ++*done;
+    }
+    srv->Stop();
+  }(&server, &client, &client_node, &completed));
+  engine.Run();
+  EXPECT_EQ(completed, 4);
+  EXPECT_EQ(executed, 4);
+  const rfp::Channel::Stats& stats = channel->stats();
+  EXPECT_EQ(stats.reconnects, 1u);
+  EXPECT_EQ(stats.calls, 4u);
+  EXPECT_EQ(stats.request_writes, 4u);
+  EXPECT_EQ(stats.recovery_request_writes, 0u);  // a re-post, not a re-issue
+  EXPECT_EQ(stats.coalesced_writes, 1u);
+  EXPECT_EQ(stats.coalesced_write_slots, 4u);
+  ASSERT_NE(fabric.checker(), nullptr);
+  EXPECT_EQ(fabric.checker()->total_violations(), 0u);
 }
 
 }  // namespace

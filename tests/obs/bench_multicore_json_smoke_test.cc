@@ -1,8 +1,8 @@
 // Smoke test of bench_ext_multicore's --json output (path injected by
-// CMake). Pins the headline of docs/multicore.md: the MOPS-vs-workers sweep
-// crosses from cpu-bound to nic_inbound-bound, and some 32-byte row clears
-// 9 MOPS (>= 80% of the 11.26 MOPS in-bound envelope) while the bottleneck
-// column attributes the plateau to the NIC model. Companion to
+// CMake). Pins the headline of docs/multicore.md: one worker is cpu-bound,
+// and with coalesced request WRITEs plus spanning fetch READs some 32-byte
+// row clears 12 MOPS — above the 11.26 MOPS in-bound envelope that capped
+// per-slot request WRITEs — at under 0.1 in-bound ops per call. Companion to
 // bench_pipeline_json_smoke_test.cc.
 
 #include <cstdio>
@@ -28,7 +28,7 @@ double Cell(const testjson::Value& values, const std::string& key) {
   return std::stod(values.at(key).string);
 }
 
-TEST(BenchMulticoreJsonSmokeTest, WorkerSweepReachesNicBoundHeadline) {
+TEST(BenchMulticoreJsonSmokeTest, WorkerSweepClearsTheInboundEnvelope) {
   const std::string json_path = ::testing::TempDir() + "/bench_multicore_smoke.json";
   std::remove(json_path.c_str());
   const std::string cmd = std::string("'") + BENCH_EXT_MULTICORE_PATH + "' --json=" + json_path +
@@ -45,7 +45,7 @@ TEST(BenchMulticoreJsonSmokeTest, WorkerSweepReachesNicBoundHeadline) {
   // 5 worker counts x 3 windows.
   ASSERT_EQ(v.at("rows").array.size(), 15u);
   bool saw_cpu_bound = false;
-  bool saw_headline = false;  // >= 9 MOPS attributed to the NIC model
+  bool saw_headline = false;  // >= 12 MOPS at < 0.1 in-bound ops per call
   for (const auto& row : v.at("rows").array) {
     const testjson::Value& values = row->at("values");
     EXPECT_TRUE(values.has("workers"));
@@ -54,6 +54,7 @@ TEST(BenchMulticoreJsonSmokeTest, WorkerSweepReachesNicBoundHeadline) {
     EXPECT_TRUE(values.has("inbound_util"));
     EXPECT_TRUE(values.has("cpu_util"));
     EXPECT_TRUE(values.has("bottleneck"));
+    EXPECT_TRUE(values.has("inbound_ops_per_call"));
     EXPECT_TRUE(values.has("coalesced"));
     EXPECT_TRUE(values.has("steals"));
     EXPECT_EQ(Cell(values, "errors"), 0.0);
@@ -66,14 +67,13 @@ TEST(BenchMulticoreJsonSmokeTest, WorkerSweepReachesNicBoundHeadline) {
       EXPECT_GT(Cell(values, "cpu_util"), 0.9);
       saw_cpu_bound = true;
     }
-    if (Cell(values, "mops") >= 9.0 && bottleneck == "nic_inbound") {
-      EXPECT_GT(Cell(values, "inbound_util"), 0.9);
+    if (Cell(values, "mops") >= 12.0 && Cell(values, "inbound_ops_per_call") < 0.1) {
       saw_headline = true;
     }
   }
   EXPECT_TRUE(saw_cpu_bound);
   EXPECT_TRUE(saw_headline)
-      << "no row reached >= 9 MOPS with the plateau attributed to the NIC model";
+      << "no row reached >= 12 MOPS at < 0.1 in-bound ops per call";
 
   // The coalesced-fetch instruments flushed into the metrics snapshot.
   const testjson::Value& metrics = v.at("metrics");

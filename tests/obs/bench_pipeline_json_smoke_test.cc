@@ -1,7 +1,8 @@
 // Smoke test of bench_ext_pipeline's --json output (path injected by
 // CMake): the window x value-size sweep lands row for row in the dump, the
-// window>1 rows report doorbell-batch occupancy above 1, and the pipelining
-// instruments flush into the metrics snapshot. Companion to
+// window>1 rows with default blocks report doorbell-batch occupancy above 1,
+// the multicore rows carry several calls per coalesced request WRITE, and
+// the pipelining instruments flush into the metrics snapshot. Companion to
 // bench_json_smoke_test.cc.
 
 #include <cstdio>
@@ -45,20 +46,29 @@ TEST(BenchPipelineJsonSmokeTest, PipelineBenchProducesSchemaValidJson) {
   // 5 windows x 3 value sizes, plus 3 multicore worker-sweep rows.
   ASSERT_EQ(v.at("rows").array.size(), 18u);
   bool saw_batched_row = false;
+  size_t index = 0;
   for (const auto& row : v.at("rows").array) {
     const testjson::Value& values = row->at("values");
+    const bool multicore_row = index++ >= 15;
     EXPECT_TRUE(values.has("window"));
     EXPECT_TRUE(values.has("workers"));
     EXPECT_TRUE(values.has("mops"));
     EXPECT_TRUE(values.has("speedup"));
     EXPECT_TRUE(values.has("doorbells"));
     EXPECT_TRUE(values.has("occupancy"));
+    EXPECT_TRUE(values.has("slots_per_write"));
     EXPECT_TRUE(values.has("errors"));
     EXPECT_EQ(Cell(values, "errors"), 0.0);
-    if (Cell(values, "window") > 1.0) {
-      // Every pipelined row actually batched its postings.
+    if (multicore_row) {
+      // Payload-sized blocks: a burst's staged calls ride one request WRITE.
+      EXPECT_GT(Cell(values, "doorbells"), 0.0);
+      EXPECT_GE(Cell(values, "slots_per_write"), 2.0);
+    } else if (Cell(values, "window") > 1.0) {
+      // Every pipelined row actually batched its postings; 8 KiB blocks keep
+      // one WRITE per call.
       EXPECT_GT(Cell(values, "doorbells"), 0.0);
       EXPECT_GT(Cell(values, "occupancy"), 1.0);
+      EXPECT_EQ(Cell(values, "slots_per_write"), 1.0);
       saw_batched_row = true;
     } else {
       // window=1 is the pre-pipelining channel: no batch ever forms.

@@ -3,7 +3,8 @@
 // surface (SubmitCall/AwaitCall must be schedule-identical to
 // ClientSend/ClientRecv), per-call CallOptions knobs, window-full and
 // stale-handle errors, the Table-2 legacy API riding slot 0 of a windowed
-// channel, and the pipelined Jakiro MultiGet.
+// channel, coalesced request WRITEs and concurrent posting batches, and the
+// pipelined Jakiro MultiGet.
 
 #include <cstring>
 #include <functional>
@@ -13,8 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include "src/check/checker.h"
 #include "src/kv/jakiro.h"
 #include "src/rdma/fabric.h"
+#include "src/rdma/memory.h"
 #include "src/rfp/channel.h"
 #include "src/rfp/legacy_api.h"
 #include "src/rfp/options.h"
@@ -270,6 +273,181 @@ TEST_F(PipelineTest, LegacyEndpointRidesSlotZeroOfWindowedChannel) {
   // Slot-0 sequential calls never stage more than one request, so no
   // doorbell batch ever forms.
   EXPECT_EQ(ch->stats().doorbell_batches, 0u);
+}
+
+// ---- Coalesced request WRITEs -------------------------------------------------
+
+// Copy of request slot `slot`'s whole block in the server's request ring.
+std::vector<std::byte> ServerRequestBlock(rdma::Fabric& fabric, const Channel& ch, int slot) {
+  const rdma::MemoryRegion* mr = fabric.FindRemote(rdma::RemoteKey{ch.server_rkey()});
+  const size_t block = ch.response_block_bytes();
+  const auto bytes = mr->bytes().subspan(
+      ch.request_offset() + static_cast<size_t>(slot) * block, block);
+  return {bytes.begin(), bytes.end()};
+}
+
+// Request header currently in the server's request slot `slot`.
+RequestHeader ServerRequestHeader(rdma::Fabric& fabric, const Channel& ch, int slot) {
+  const rdma::MemoryRegion* mr = fabric.FindRemote(rdma::RemoteKey{ch.server_rkey()});
+  return mr->Load<RequestHeader>(ch.request_offset() +
+                                 static_cast<size_t>(slot) * ch.response_block_bytes());
+}
+
+// Small blocks: four adjacent staged slots fit the size rule (~400 B of
+// in-bound budget per slot), so the whole run leaves as one wire WRITE while
+// the call accounting still books one request WRITE per call.
+TEST_F(PipelineTest, AdjacentStagedSlotsCoalesceIntoOneWrite) {
+  RfpOptions options;
+  options.window = 4;
+  options.max_message_bytes = 64;
+  Channel* ch = MakeChannel(options);
+  engine_.Spawn(EchoServer(engine_, ch, 4));
+  engine_.Spawn([](rdma::Node* client, Channel* c) -> sim::Task<void> {
+    std::vector<Channel::CallHandle> handles;
+    for (int i = 0; i < 4; ++i) {
+      handles.push_back(co_await c->SubmitCall(AsBytes("run-" + std::to_string(i))));
+    }
+    const uint64_t before = client->nic().outbound_ops();
+    co_await c->FlushCalls();
+    EXPECT_EQ(client->nic().outbound_ops() - before, 1u);
+    std::vector<std::byte> out(64);
+    for (int i = 0; i < 4; ++i) {
+      const size_t got = co_await c->AwaitCall(handles[static_cast<size_t>(i)], out);
+      EXPECT_EQ(std::string(reinterpret_cast<const char*>(out.data()), got),
+                "run-" + std::to_string(i));
+    }
+  }(client_node_, ch));
+  engine_.Run();
+  EXPECT_EQ(ch->stats().calls, 4u);
+  EXPECT_EQ(ch->stats().request_writes, 4u);
+  EXPECT_EQ(ch->stats().coalesced_writes, 1u);
+  EXPECT_EQ(ch->stats().coalesced_write_slots, 4u);
+}
+
+// Staged {0, 1, 3} around a posted-but-unawaited slot 2: the posted slot
+// splits the run into two WRITEs, and nothing lands on slot 2's server
+// request block (a marker planted in its unused tail survives the flush).
+TEST_F(PipelineTest, PostedSlotSplitsCoalescedRun) {
+  RfpOptions options;
+  options.window = 4;
+  options.max_message_bytes = 64;
+  Channel* ch = MakeChannel(options);
+  engine_.Spawn(EchoServer(engine_, ch, 6));
+  engine_.Spawn([](rdma::Fabric* fabric, rdma::Node* client, Channel* c) -> sim::Task<void> {
+    std::vector<std::byte> out(64);
+    const Channel::CallHandle a = co_await c->SubmitCall(AsBytes("a"));
+    const Channel::CallHandle b = co_await c->SubmitCall(AsBytes("b"));
+    const Channel::CallHandle held = co_await c->SubmitCall(AsBytes("held"));
+    EXPECT_EQ(held.slot, 2);
+    (void)co_await c->AwaitCall(a, out);  // flushes all three, frees slot 0
+    (void)co_await c->AwaitCall(b, out);  // frees slot 1; slot 2 stays posted
+    rdma::MemoryRegion* mr = fabric->FindRemote(rdma::RemoteKey{c->server_rkey()});
+    const size_t tail = c->request_offset() + 3 * c->response_block_bytes() - 8;
+    mr->Store<uint64_t>(tail, 0x5a5a5a5a5a5a5a5aULL);
+    const std::vector<std::byte> slot2 = ServerRequestBlock(*fabric, *c, 2);
+
+    std::vector<Channel::CallHandle> next;
+    for (const char* msg : {"d", "e", "f"}) {
+      next.push_back(co_await c->SubmitCall(AsBytes(msg)));
+    }
+    EXPECT_EQ(next[0].slot, 0);
+    EXPECT_EQ(next[1].slot, 1);
+    EXPECT_EQ(next[2].slot, 3);
+    const uint64_t before = client->nic().outbound_ops();
+    co_await c->FlushCalls();
+    EXPECT_EQ(client->nic().outbound_ops() - before, 2u);  // [0, 1] and [3]
+    EXPECT_EQ(ServerRequestBlock(*fabric, *c, 2), slot2);
+
+    size_t got = co_await c->AwaitCall(held, out);
+    EXPECT_EQ(std::string(reinterpret_cast<const char*>(out.data()), got), "held");
+    for (size_t i = 0; i < next.size(); ++i) {
+      got = co_await c->AwaitCall(next[i], out);
+      EXPECT_EQ(std::string(reinterpret_cast<const char*>(out.data()), got),
+                std::string(1, "def"[i]));
+    }
+  }(&fabric_, client_node_, ch));
+  engine_.Run();
+  EXPECT_EQ(ch->stats().calls, 6u);
+  // First flush: one span over slots 0-2. Second: a span over 0-1, slot 3 alone.
+  EXPECT_EQ(ch->stats().coalesced_writes, 2u);
+  EXPECT_EQ(ch->stats().coalesced_write_slots, 5u);
+}
+
+// Default max_message_bytes gives 8 KiB blocks: spanning two of them would
+// cost the in-bound engine far more than two small WRITEs, so the size rule
+// keeps every slot its own WR.
+TEST_F(PipelineTest, LargeBlocksKeepPerSlotWrites) {
+  RfpOptions options;
+  options.window = 4;
+  Channel* ch = MakeChannel(options);
+  engine_.Spawn(EchoServer(engine_, ch, 4));
+  engine_.Spawn([](rdma::Node* client, Channel* c) -> sim::Task<void> {
+    std::vector<Channel::CallHandle> handles;
+    for (int i = 0; i < 4; ++i) {
+      handles.push_back(co_await c->SubmitCall(AsBytes("big-" + std::to_string(i))));
+    }
+    const uint64_t before = client->nic().outbound_ops();
+    co_await c->FlushCalls();
+    EXPECT_EQ(client->nic().outbound_ops() - before, 4u);
+    std::vector<std::byte> out(16384);
+    for (const Channel::CallHandle& h : handles) {
+      (void)co_await c->AwaitCall(h, out);
+    }
+  }(client_node_, ch));
+  engine_.Run();
+  EXPECT_EQ(ch->stats().calls, 4u);
+  EXPECT_EQ(ch->stats().coalesced_writes, 0u);
+  EXPECT_EQ(ch->stats().coalesced_write_slots, 0u);
+}
+
+// Two actors share one window-4 channel. The first flushes two large
+// requests; the second flushes two small ones while the first batch is half
+// complete, so two batches are in flight on one send CQ. Each flush takes
+// only its own staged slots and returns once its own WRITEs completed (its
+// requests sit in the server's request block). Strict checking pins the
+// wr_ids: reusing 0..n-1 per batch aliased the first batch's second WR with
+// the second batch's, and its completion then overtook post order
+// (cq.completion_order).
+TEST(PipelineConcurrencyTest, ConcurrentBatchesReapTheirOwnCompletions) {
+  check::ScopedMode strict(check::Mode::kStrict);
+  sim::Engine engine;
+  rdma::Fabric fabric(engine);
+  rdma::Node& client = fabric.AddNode("client");
+  rdma::Node& server = fabric.AddNode("server");
+  RfpOptions options;
+  options.window = 4;  // default 8 KiB blocks: one WR per slot
+  Channel ch(fabric, client, server, options);
+  engine.Spawn(EchoServer(engine, &ch, 4));
+  const auto actor = [](sim::Engine& eng, rdma::Fabric* fab, Channel* c, std::string tag,
+                        size_t bytes, sim::Time start) -> sim::Task<void> {
+    co_await eng.Sleep(start);
+    std::vector<std::string> msgs;
+    std::vector<Channel::CallHandle> handles;
+    for (int i = 0; i < 2; ++i) {
+      msgs.push_back(tag + std::to_string(i) + std::string(bytes, 'x'));
+      handles.push_back(co_await c->SubmitCall(AsBytes(msgs.back())));
+    }
+    co_await c->FlushCalls();
+    for (const Channel::CallHandle& h : handles) {
+      EXPECT_EQ(ServerRequestHeader(*fab, *c, h.slot).seq, h.seq) << tag << " slot " << h.slot;
+    }
+    std::vector<std::byte> out(16384);
+    for (int i = 0; i < 2; ++i) {
+      const size_t got = co_await c->AwaitCall(handles[static_cast<size_t>(i)], out);
+      EXPECT_EQ(std::string(reinterpret_cast<const char*>(out.data()), got),
+                msgs[static_cast<size_t>(i)]);
+    }
+  };
+  // ~1.8 us of serialization per 8000-byte WRITE puts the first batch's two
+  // completions ~1.8 us apart (about 4.3 us and 6.1 us); the second batch
+  // posts at 5 us, between them.
+  engine.Spawn(actor(engine, &fabric, &ch, "large-", 8000, 0));
+  engine.Spawn(actor(engine, &fabric, &ch, "small-", 0, sim::Micros(5)));
+  engine.Run();
+  EXPECT_EQ(ch.stats().calls, 4u);
+  EXPECT_EQ(ch.stats().request_writes, 4u);
+  ASSERT_NE(fabric.checker(), nullptr);
+  EXPECT_EQ(fabric.checker()->total_violations(), 0u);
 }
 
 // ---- RpcClient surface --------------------------------------------------------
