@@ -407,7 +407,11 @@ sim::Task<size_t> PooledClient::Transact(uint32_t body_bytes, std::span<std::byt
       const size_t payload =
           wc->byte_len >= rfp::kHeaderBytes ? wc->byte_len - rfp::kHeaderBytes : 0;
       const bool match = wc->ok() && reply.seq == seq;
-      if (match && payload <= response.size()) {
+      if (match) {
+        if (payload > response.size()) {
+          RepostRecv(wc->wr_id);
+          throw std::length_error("conn pooled: response larger than output buffer");
+        }
         span_.mr->ReadBytes(rx + rfp::kHeaderBytes, response.subspan(0, payload));
       }
       RepostRecv(wc->wr_id);

@@ -58,33 +58,6 @@ ConfigBuilder& ConfigBuilder::ZeroCopy() {
   return *this;
 }
 
-// Deprecated wrapper definitions (declarations carry the attribute; defining
-// them is not a "use", so this file stays warning-clean under -Werror).
-
-JakiroConfig ServerReplyConfig(JakiroConfig base) {
-  return JakiroConfig::Build(std::move(base)).ServerReply();
-}
-
-JakiroConfig NoSwitchConfig(JakiroConfig base) {
-  return JakiroConfig::Build(std::move(base)).NoSwitch();
-}
-
-JakiroConfig FaultTolerantConfig(JakiroConfig base) {
-  return JakiroConfig::Build(std::move(base)).FaultTolerant();
-}
-
-JakiroConfig OverloadProtectedConfig(JakiroConfig base) {
-  return JakiroConfig::Build(std::move(base)).OverloadProtected();
-}
-
-JakiroConfig PipelinedConfig(JakiroConfig base, int window) {
-  return JakiroConfig::Build(std::move(base)).Pipelined(window);
-}
-
-JakiroConfig ZeroCopyConfig(JakiroConfig base) {
-  return JakiroConfig::Build(std::move(base)).ZeroCopy();
-}
-
 JakiroServer::JakiroServer(rdma::Fabric& fabric, rdma::Node& node, JakiroConfig config)
     : config_(config), rpc_(fabric, node, config.server_threads, config.server_options) {
   for (int t = 0; t < config_.server_threads; ++t) {

@@ -106,27 +106,6 @@ inline ConfigBuilder JakiroConfig::Build(JakiroConfig base) {
   return ConfigBuilder(std::move(base));
 }
 
-// Deprecated preset wrappers, kept one release for out-of-tree callers.
-// Each is exactly Build(base).<Preset>().
-
-[[deprecated("use kv::JakiroConfig::Build().ServerReply()")]]
-JakiroConfig ServerReplyConfig(JakiroConfig base = {});
-
-[[deprecated("use kv::JakiroConfig::Build().NoSwitch()")]]
-JakiroConfig NoSwitchConfig(JakiroConfig base = {});
-
-[[deprecated("use kv::JakiroConfig::Build().FaultTolerant()")]]
-JakiroConfig FaultTolerantConfig(JakiroConfig base = {});
-
-[[deprecated("use kv::JakiroConfig::Build().OverloadProtected()")]]
-JakiroConfig OverloadProtectedConfig(JakiroConfig base = {});
-
-[[deprecated("use kv::JakiroConfig::Build().Pipelined(window)")]]
-JakiroConfig PipelinedConfig(JakiroConfig base = {}, int window = 8);
-
-[[deprecated("use kv::JakiroConfig::Build().ZeroCopy()")]]
-JakiroConfig ZeroCopyConfig(JakiroConfig base = {});
-
 class JakiroServer {
  public:
   JakiroServer(rdma::Fabric& fabric, rdma::Node& node, JakiroConfig config = {});

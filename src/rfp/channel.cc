@@ -66,12 +66,10 @@ Channel::Channel(rdma::Fabric& fabric, rdma::Node& client, rdma::Node& server,
   // freshly registered MR.
   std::fill(server_span_.bytes().begin(), server_span_.bytes().end(), std::byte{0});
   std::fill(client_span_.bytes().begin(), client_span_.bytes().end(), std::byte{0});
-  if (options_.window > 1) {
-    cslots_.resize(window);
-    sslots_.resize(window);
-    if (check::FabricChecker* chk = fabric.checker()) {
-      chk->OnChannelWindow(this, options_.window);
-    }
+  cslots_.resize(window);
+  sslots_.resize(window);
+  if (check::FabricChecker* chk = fabric.checker()) {
+    chk->OnChannelWindow(this, options_.window);
   }
   // Per-channel deterministic jitter stream (breaker open intervals, busy
   // retry backoff): pooled channels can share an arena rkey, so the span
@@ -205,264 +203,17 @@ void Channel::set_fetch_size(uint32_t f) {
       std::clamp<uint32_t>(f, kHeaderBytes, static_cast<uint32_t>(block_bytes_));
 }
 
-ResponseHeader Channel::LandingHeader() const {
-  return client_.Load<ResponseHeader>(resp_offset_);
-}
-
 Mode Channel::server_visible_mode() const {
   return static_cast<Mode>(server_.Load<uint8_t>(kRequestModeOffset));
 }
 
 sim::Task<void> Channel::ClientSend(std::span<const std::byte> msg, sim::Time deadline_ns) {
-  if (msg.size() > options_.max_message_bytes) {
-    throw std::invalid_argument("rfp channel: request exceeds max_message_bytes");
-  }
-  // An open breaker delays the send (idle, not client CPU) until its open
-  // interval elapses; this call then becomes the half-open probe.
-  co_await MaybeAwaitBreaker();
-  scalar_breaker_epoch_ = breaker_epoch_;
-  const sim::Time start = engine_.now();
-  if (check::FabricChecker* chk = fabric_->checker()) {
-    chk->OnClientSend(this);
-  }
-  if (++seq_ == 0) {
-    ++seq_;  // reserve 0 for "never used"
-  }
-  call_deadline_ = deadline_ns != 0 ? deadline_ns
-                   : options_.call_deadline_ns > 0 ? engine_.now() + options_.call_deadline_ns
-                                                   : 0;
-  RequestHeader header;
-  header.size_status =
-      wire::PackRequestSizeStatus(static_cast<uint32_t>(msg.size()), true, request_epoch_);
-  header.seq = seq_;
-  header.mode = static_cast<uint8_t>(mode_);
-  header.deadline_ns = static_cast<uint64_t>(call_deadline_);
-  client_.Store(0, header);
-  client_.WriteBytes(kReqHeaderBytes, msg);
-  if (check::FabricChecker* chk = fabric_->checker()) {
-    chk->OnCpuStore(client_.remote_key().rkey, client_.abs(0), kReqHeaderBytes + msg.size());
-  }
-  // The staging block keeps the payload until the next ClientSend, which is
-  // what makes ReissueRequest possible without the caller's buffer.
-  last_req_size_ = static_cast<uint32_t>(msg.size());
-  co_await RcOp(/*from_client=*/true, /*is_read=*/false, 0, 0,
-                kReqHeaderBytes + static_cast<uint32_t>(msg.size()), "request write");
-  ++stats_.calls;
-  ++stats_.request_writes;
-  client_busy_.AddBusy(engine_.now() - start);
+  legacy_call_ = co_await SubmitCall(msg, {.deadline_ns = deadline_ns});
+  co_await FlushCalls();
 }
 
 sim::Task<size_t> Channel::ClientRecv(std::span<std::byte> out) {
-  const sim::Time start = engine_.now();
-  if (check::FabricChecker* chk = fabric_->checker()) {
-    chk->OnClientRecvStart(this);
-  }
-
-  if (mode_ == Mode::kServerReply) {
-    co_return co_await AwaitReply(out);
-  }
-
-  // Remote-fetch path: spin on RDMA READs of F bytes. A window=1 SubmitCall
-  // may have left a per-call fetch-size override.
-  const uint32_t f =
-      fetch_override_ != 0 ? EffectiveFetch(fetch_override_) : options_.fetch_size;
-  fetch_override_ = 0;
-  sim::Time deadline = options_.fetch_timeout_ns > 0 ? start + options_.fetch_timeout_ns : 0;
-  sim::Time backoff = options_.fetch_backoff_initial_ns;
-  sim::Time slept = 0;  // backoff sleeps are idle time, not client CPU
-  int failed = 0;
-  int corrupt = 0;
-  int reissues = 0;
-  int busy_streak = 0;        // consecutive BUSY(admission) sheds of this call
-  uint64_t attempt_reads = 0;  // this attempt's READs, moved to the recovery
-                               // bucket if a re-issue abandons the attempt
-  while (true) {
-    const rdma::WorkCompletion fetch_wc = co_await RcOp(
-        /*from_client=*/true, /*is_read=*/true, resp_offset_, resp_offset_, f, "result fetch");
-    ++stats_.fetch_reads;
-    ++attempt_reads;
-    const ResponseHeader header = LandingHeader();
-    if (wire::UnpackStatus(header.size_status) && AcceptSeq(header.seq, seq_)) {
-      if (wire::UnpackBusy(header.size_status)) {
-        // The server shed this request instead of serving it. Only the
-        // header is meaningful (and published).
-        if (check::FabricChecker* chk = fabric_->checker()) {
-          chk->OnAccept(check::ViolationKind::kRaceFetchStore, server_.remote_key().rkey,
-                        server_.abs(resp_offset_), std::min<uint32_t>(kHeaderBytes, f),
-                        fetch_wc.check_tick, "busy fetch");
-        }
-        RecordBusyResponse(header, scalar_breaker_epoch_);
-        if (wire::UnpackBusyReason(header.size_status) == BusyReason::kDeadline ||
-            (call_deadline_ != 0 && engine_.now() >= call_deadline_)) {
-          if (check::FabricChecker* chk = fabric_->checker()) {
-            chk->OnClientRecvDone(this);
-          }
-          client_busy_.AddBusy(engine_.now() - start - slept);
-          throw DeadlineExceeded("rfp channel: call deadline exceeded (request shed)");
-        }
-        // BUSY(admission): back off per the retry-after hint, then re-issue.
-        const sim::Time delay = BusyRetryDelay(header.time_us, ++busy_streak);
-        co_await engine_.Sleep(delay);
-        slept += delay;
-        if (call_deadline_ != 0 && engine_.now() >= call_deadline_) {
-          if (check::FabricChecker* chk = fabric_->checker()) {
-            chk->OnClientRecvDone(this);
-          }
-          client_busy_.AddBusy(engine_.now() - start - slept);
-          throw DeadlineExceeded("rfp channel: call deadline exceeded while backing off");
-        }
-        if (++reissues > options_.max_reissue_attempts) {
-          throw std::runtime_error("rfp channel: request shed after max reissues");
-        }
-        TransferAttemptReads(&attempt_reads);
-        co_await ReissueRequest();
-        if (deadline != 0) {
-          deadline = engine_.now() + options_.fetch_timeout_ns;
-        }
-        failed = 0;
-        continue;
-      }
-      if (wire::UnpackRedirect(header.size_status)) {
-        // This server is not the primary for the epoch the request carried;
-        // only the header is meaningful (and published). The caller's
-        // failover layer re-resolves the leader and re-issues.
-        if (check::FabricChecker* chk = fabric_->checker()) {
-          chk->OnAccept(check::ViolationKind::kRaceFetchStore, server_.remote_key().rkey,
-                        server_.abs(resp_offset_), std::min<uint32_t>(kHeaderBytes, f),
-                        fetch_wc.check_tick, "redirect fetch");
-          chk->OnClientRecvDone(this);
-        }
-        ++stats_.redirects;
-        client_busy_.AddBusy(engine_.now() - start - slept);
-        throw Redirected(wire::UnpackRedirectEpoch(header.size_status), header.time_us);
-      }
-      busy_streak = 0;
-      const uint32_t size = wire::UnpackSize(header.size_status);
-      if (size > out.size()) {
-        throw std::length_error("rfp channel: response larger than output buffer");
-      }
-      const uint32_t total = kHeaderBytes + size + ChecksumBytes();
-      uint64_t remainder_tick = 0;
-      if (total > f) {
-        // The inline fetch was short: one more READ collects the remainder.
-        const rdma::WorkCompletion rest_wc = co_await RcOp(
-            true, true, resp_offset_ + f, resp_offset_ + f, total - f, "remainder fetch");
-        remainder_tick = rest_wc.check_tick;
-        ++stats_.fetch_reads;
-        ++attempt_reads;
-        ++stats_.extra_fetches;
-      }
-      if (options_.checksum_responses && !LandingChecksumOk(size)) {
-        // Corrupted (or torn mid-rewrite) response: never deliver the bytes.
-        // After enough corrupt observations, re-issue under a fresh seq tag
-        // and fetch the re-executed result.
-        ++stats_.corrupt_fetches;
-        if (++corrupt >= options_.corrupt_fetches_before_reissue) {
-          if (++reissues > options_.max_reissue_attempts) {
-            throw std::runtime_error("rfp channel: response corrupt after max reissues");
-          }
-          TransferAttemptReads(&attempt_reads);
-          co_await ReissueRequest();
-          corrupt = 0;
-        }
-        continue;
-      }
-      if (check::FabricChecker* chk = fabric_->checker()) {
-        // The fetched bytes become the call's result here: every byte must
-        // have been published as of the READ snapshot that carried it.
-        const uint32_t rkey = server_.remote_key().rkey;
-        chk->OnAccept(check::ViolationKind::kRaceFetchStore, rkey, server_.abs(resp_offset_),
-                      std::min(total, f), fetch_wc.check_tick, "result fetch");
-        if (total > f) {
-          chk->OnAccept(check::ViolationKind::kRaceFetchStore, rkey,
-                        server_.abs(resp_offset_ + f), total - f, remainder_tick,
-                        "remainder fetch");
-        }
-      }
-      size_t delivered = size;
-      if (wire::UnpackIndirect(header.size_status)) {
-        // The staged bytes are an [IndirectRef][prefix] descriptor: one more
-        // READ collects the value straight from the store-owned entry.
-        delivered = co_await CompleteIndirect(resp_offset_, size, out, "zero-copy entry fetch");
-      } else {
-        client_.ReadBytes(resp_offset_ + kHeaderBytes, out.subspan(0, size));
-      }
-      if (check::FabricChecker* chk = fabric_->checker()) {
-        chk->OnClientRecvDone(this);
-      }
-      last_server_time_us_ = header.time_us;
-      stats_.retries_per_call.Record(failed);
-      // ">= R" to stay consistent with the mid-call switch check, which
-      // already treats a call as slow the moment it reaches R failures.
-      // While the overload override is active, slow calls do not build a
-      // switch streak: a shedding server is saturated, not slow-pathed, and
-      // a stampede of switches to server-reply would only add out-bound
-      // work (see RfpOptions::overload_override_calls).
-      slow_streak_ = failed >= options_.retry_threshold && !OverloadSuppressesSwitch()
-                         ? slow_streak_ + 1
-                         : 0;
-      RecordBreakerOutcome(false, scalar_breaker_epoch_);
-      if (calls_since_busy_ < (1 << 30)) {
-        ++calls_since_busy_;
-      }
-      client_busy_.AddBusy(engine_.now() - start - slept);
-      co_return delivered;
-    }
-    ++failed;
-    ++stats_.failed_fetches;
-    if (failed == options_.retry_threshold && adaptive() && !OverloadSuppressesSwitch() &&
-        slow_streak_ + 1 >= options_.slow_calls_before_switch) {
-      // This call and its predecessors were all slow: fall back.
-      stats_.retries_per_call.Record(failed);
-      client_busy_.AddBusy(engine_.now() - start - slept);
-      co_await SwitchToReply();
-      co_return co_await AwaitReply(out);
-    }
-    if (deadline != 0 && engine_.now() >= deadline) {
-      // The fetch deadline expired mid-call: the server is unreachable,
-      // crashed, or pathologically slow.
-      ++stats_.fetch_timeouts;
-      RecordBreakerOutcome(true, scalar_breaker_epoch_);
-      if (sim::TraceSink* trace = engine_.trace_sink()) {
-        trace->Instant("rfp", "fetch_timeout", reinterpret_cast<uint64_t>(this), engine_.now());
-      }
-      if (adaptive()) {
-        // Fall back to server-reply without waiting out the slow streak.
-        // Deliberately NOT gated on the overload override: the timeout is
-        // the crash-recovery path, and the abandoned READs stay in the
-        // primary counters (the call completes via the reply push).
-        stats_.retries_per_call.Record(failed);
-        client_busy_.AddBusy(engine_.now() - start - slept);
-        co_await SwitchToReply();
-        co_return co_await AwaitReply(out);
-      }
-      if (++reissues > options_.max_reissue_attempts) {
-        throw std::runtime_error("rfp channel: fetch timed out after max reissues");
-      }
-      TransferAttemptReads(&attempt_reads);
-      co_await ReissueRequest();
-      deadline = engine_.now() + options_.fetch_timeout_ns;
-      failed = 0;
-    }
-    if (call_deadline_ != 0 && engine_.now() >= call_deadline_) {
-      // The call's own deadline is authoritative: the caller abandons the
-      // result whether the server is slow, saturated, or dark. (The fetch
-      // timeout above fires first when configured shorter, keeping its
-      // switch/reissue recovery semantics.)
-      if (check::FabricChecker* chk = fabric_->checker()) {
-        chk->OnClientRecvDone(this);
-      }
-      client_busy_.AddBusy(engine_.now() - start - slept);
-      throw DeadlineExceeded("rfp channel: call deadline exceeded while fetching");
-    }
-    if (backoff > 0 && failed > options_.retry_threshold) {
-      co_await engine_.Sleep(backoff);
-      slept += backoff;
-      const sim::Time cap =
-          std::max<sim::Time>(options_.fetch_backoff_max_ns, options_.fetch_backoff_initial_ns);
-      backoff = std::min<sim::Time>(backoff * 2, cap);
-    }
-  }
+  co_return co_await AwaitCall(legacy_call_, out);
 }
 
 sim::Task<void> Channel::SwitchToReply() {
@@ -482,105 +233,6 @@ sim::Task<void> Channel::SwitchToReply() {
   }
   co_await RcOp(/*from_client=*/true, /*is_read=*/false, kRequestModeOffset, kRequestModeOffset,
                 1, "mode switch write");
-}
-
-sim::Task<size_t> Channel::AwaitReply(std::span<std::byte> out) {
-  int reissues = 0;
-  int busy_streak = 0;
-  while (true) {
-    const ResponseHeader header = LandingHeader();
-    if (wire::UnpackStatus(header.size_status) && AcceptSeq(header.seq, seq_)) {
-      if (wire::UnpackBusy(header.size_status)) {
-        // The server shed this request; only the header was pushed.
-        if (check::FabricChecker* chk = fabric_->checker()) {
-          chk->OnAccept(check::ViolationKind::kRaceRecvStore, client_.remote_key().rkey,
-                        client_.abs(resp_offset_), kHeaderBytes, 0, "busy reply");
-        }
-        RecordBusyResponse(header, scalar_breaker_epoch_);
-        if (wire::UnpackBusyReason(header.size_status) == BusyReason::kDeadline ||
-            (call_deadline_ != 0 && engine_.now() >= call_deadline_)) {
-          if (check::FabricChecker* chk = fabric_->checker()) {
-            chk->OnClientRecvDone(this);
-          }
-          client_busy_.AddBusy(options_.reply_poll_cpu_ns);
-          throw DeadlineExceeded("rfp channel: call deadline exceeded (request shed)");
-        }
-        const sim::Time delay = BusyRetryDelay(header.time_us, ++busy_streak);
-        co_await engine_.Sleep(delay);
-        if (call_deadline_ != 0 && engine_.now() >= call_deadline_) {
-          if (check::FabricChecker* chk = fabric_->checker()) {
-            chk->OnClientRecvDone(this);
-          }
-          client_busy_.AddBusy(options_.reply_poll_cpu_ns);
-          throw DeadlineExceeded("rfp channel: call deadline exceeded while backing off");
-        }
-        if (++reissues > options_.max_reissue_attempts) {
-          throw std::runtime_error("rfp channel: request shed after max reissues");
-        }
-        co_await ReissueRequest();
-        client_busy_.AddBusy(options_.reply_poll_cpu_ns);
-        continue;
-      }
-      if (wire::UnpackRedirect(header.size_status)) {
-        if (check::FabricChecker* chk = fabric_->checker()) {
-          chk->OnAccept(check::ViolationKind::kRaceRecvStore, client_.remote_key().rkey,
-                        client_.abs(resp_offset_), kHeaderBytes, 0, "redirect reply");
-          chk->OnClientRecvDone(this);
-        }
-        ++stats_.redirects;
-        client_busy_.AddBusy(options_.reply_poll_cpu_ns);
-        throw Redirected(wire::UnpackRedirectEpoch(header.size_status), header.time_us);
-      }
-      const uint32_t size = wire::UnpackSize(header.size_status);
-      if (size > out.size()) {
-        throw std::length_error("rfp channel: response larger than output buffer");
-      }
-      if (options_.checksum_responses && !LandingChecksumOk(size)) {
-        // The pushed reply arrived corrupted: re-issue under a fresh seq and
-        // wait for the re-executed push (the stale header can no longer
-        // match the bumped sequence).
-        ++stats_.corrupt_fetches;
-        if (++reissues > options_.max_reissue_attempts) {
-          throw std::runtime_error("rfp channel: pushed reply corrupt after max reissues");
-        }
-        co_await ReissueRequest();
-        client_busy_.AddBusy(options_.reply_poll_cpu_ns);
-        co_await engine_.Sleep(options_.reply_poll_interval_ns);
-        continue;
-      }
-      if (check::FabricChecker* chk = fabric_->checker()) {
-        // The pushed reply is consumed from the local landing block: every
-        // byte must come from the push, not a lingering local store.
-        chk->OnAccept(check::ViolationKind::kRaceRecvStore, client_.remote_key().rkey,
-                      client_.abs(resp_offset_), kHeaderBytes + size + ChecksumBytes(), 0,
-                      "reply await");
-      }
-      size_t delivered = size;
-      if (wire::UnpackIndirect(header.size_status)) {
-        // A descriptor staged before the switch to server-reply was pushed
-        // as-is; the client can still READ the entry it names.
-        delivered = co_await CompleteIndirect(resp_offset_, size, out, "zero-copy entry fetch");
-      } else {
-        client_.ReadBytes(resp_offset_ + kHeaderBytes, out.subspan(0, size));
-      }
-      if (check::FabricChecker* chk = fabric_->checker()) {
-        chk->OnClientRecvDone(this);
-      }
-      client_busy_.AddBusy(options_.reply_poll_cpu_ns);
-      FinishReplyCall(header, scalar_breaker_epoch_);
-      co_return delivered;
-    }
-    client_busy_.AddBusy(options_.reply_poll_cpu_ns);
-    if (call_deadline_ != 0 && engine_.now() >= call_deadline_) {
-      // No reply before the call deadline (saturated or dark server): give
-      // up. A stale push that lands later is ignored by the bumped seq.
-      if (check::FabricChecker* chk = fabric_->checker()) {
-        chk->OnClientRecvDone(this);
-      }
-      throw DeadlineExceeded("rfp channel: call deadline exceeded awaiting reply");
-    }
-    co_await engine_.Sleep(options_.reply_poll_interval_ns);
-  }
 }
 
 void Channel::FinishReplyCall(const ResponseHeader& header, uint64_t sent_epoch) {
@@ -616,17 +268,10 @@ uint32_t Channel::EffectiveFetch(uint32_t override_f) const {
 }
 
 bool Channel::HasPendingRequest() const {
-  if (options_.window > 1) {
-    return PendingRequests() > 0;
-  }
-  const RequestHeader header = server_.Load<RequestHeader>(0);
-  return wire::UnpackStatus(header.size_status) && header.seq != last_recv_seq_;
+  return PendingRequests() > 0;
 }
 
 int Channel::PendingRequests() const {
-  if (options_.window == 1) {
-    return HasPendingRequest() ? 1 : 0;
-  }
   int pending = 0;
   for (int s = 0; s < options_.window; ++s) {
     const RequestHeader header = server_.Load<RequestHeader>(req_off(s));
@@ -639,47 +284,52 @@ int Channel::PendingRequests() const {
 }
 
 bool Channel::TryServerRecv(std::span<std::byte> out, size_t* size) {
-  if (options_.window > 1) {
-    return TryServerRecvSlot(out, size);
+  const int window = options_.window;
+  for (int i = 0, s = recv_rr_; i < window; ++i, s = s + 1 < window ? s + 1 : 0) {
+    const RequestHeader header = server_.Load<RequestHeader>(req_off(s));
+    if (!wire::UnpackStatus(header.size_status) || header.slot != s ||
+        header.seq == sslot(s).last_recv_seq) {
+      continue;
+    }
+    const uint32_t payload = wire::UnpackRequestSize(header.size_status);
+    if (payload > out.size()) {
+      throw std::length_error("rfp channel: request larger than server buffer");
+    }
+    if (check::FabricChecker* chk = fabric_->checker()) {
+      // The request bytes are consumed by the server thread: every byte must
+      // come from the client's WRITE, not a local scribble into the block.
+      chk->OnAccept(check::ViolationKind::kRaceRecvStore, server_.remote_key().rkey,
+                    server_.abs(req_off(s)), kReqHeaderBytes + payload, 0, "server recv");
+    }
+    server_.ReadBytes(req_off(s) + kReqHeaderBytes, out.subspan(0, payload));
+    *size = payload;
+    ServerSlot& ss = sslot(s);
+    // A new request on this slot proves its previous response was consumed:
+    // release the zero-copy entry pinned for it, if any.
+    ss.pin.reset();
+    ss.last_recv_seq = header.seq;
+    ss.recv_time = engine_.now();
+    last_recv_slot_ = s;
+    last_recv_deadline_ns_ = header.deadline_ns;
+    last_recv_epoch_ = wire::UnpackRequestEpoch(header.size_status);
+    recv_rr_ = s + 1 < window ? s + 1 : 0;
+    return true;
   }
-  const RequestHeader header = server_.Load<RequestHeader>(0);
-  if (!wire::UnpackStatus(header.size_status) || header.seq == last_recv_seq_) {
-    return false;
-  }
-  const uint32_t payload = wire::UnpackRequestSize(header.size_status);
-  if (payload > out.size()) {
-    throw std::length_error("rfp channel: request larger than server buffer");
-  }
-  if (check::FabricChecker* chk = fabric_->checker()) {
-    // The request bytes are consumed by the server thread: every byte must
-    // come from the client's WRITE, not a local scribble into the block.
-    chk->OnAccept(check::ViolationKind::kRaceRecvStore, server_.remote_key().rkey,
-                  server_.abs(0), kReqHeaderBytes + payload, 0, "server recv");
-  }
-  server_.ReadBytes(kReqHeaderBytes, out.subspan(0, payload));
-  *size = payload;
-  // A new request on the channel proves the previous response was consumed:
-  // release the zero-copy entry pinned for it, if any.
-  resp_pin_.reset();
-  last_recv_seq_ = header.seq;
-  last_recv_deadline_ns_ = header.deadline_ns;
-  last_recv_epoch_ = wire::UnpackRequestEpoch(header.size_status);
-  recv_time_ = engine_.now();
-  return true;
+  return false;
 }
 
 sim::Task<void> Channel::ServerSend(std::span<const std::byte> msg) {
   if (msg.size() > options_.max_message_bytes) {
     throw std::invalid_argument("rfp channel: response exceeds max_message_bytes");
   }
-  if (options_.window > 1) {
-    co_return co_await ServerSendSlot(msg);
-  }
-  resp_pin_.reset();  // a superseding send releases any pinned entry
+  const int s = last_recv_slot_;
+  ServerSlot& ss = sslot(s);
+  ss.pin.reset();  // a superseding send releases any pinned entry
+  const size_t off = land_off(s);
   ResponseHeader header;
   header.size_status = wire::PackSizeStatus(static_cast<uint32_t>(msg.size()), true);
-  header.time_us = SaturateTimeUs(engine_.now() - recv_time_);
-  header.seq = last_recv_seq_;
+  header.time_us = SaturateTimeUs(engine_.now() - ss.recv_time);
+  header.seq = ss.last_recv_seq;
   check::FabricChecker* chk = fabric_->checker();
   const uint32_t rkey = server_.remote_key().rkey;
   // Store order is the protocol's only fence against concurrent one-sided
@@ -688,53 +338,55 @@ sim::Task<void> Channel::ServerSend(std::span<const std::byte> msg) {
   // that lands between these stores sees a stale header and retries instead
   // of delivering a half-written payload. (The header used to be stored
   // first; the race detector flags that order as race.fetch_store.)
-  server_.WriteBytes(resp_offset_ + kHeaderBytes, msg);
+  server_.WriteBytes(off + kHeaderBytes, msg);
   if (chk != nullptr) {
-    chk->OnCpuStore(rkey, server_.abs(resp_offset_ + kHeaderBytes), msg.size());
+    chk->OnCpuStore(rkey, server_.abs(off + kHeaderBytes), msg.size());
   }
   if (options_.checksum_responses) {
-    server_.Store(resp_offset_ + kHeaderBytes + msg.size(),
-                      wire::Checksum64(msg, last_recv_seq_));
+    server_.Store(off + kHeaderBytes + msg.size(), wire::Checksum64(msg, ss.last_recv_seq));
     if (chk != nullptr) {
-      chk->OnCpuStore(rkey, server_.abs(resp_offset_ + kHeaderBytes + msg.size()),
-                      kChecksumBytes);
+      chk->OnCpuStore(rkey, server_.abs(off + kHeaderBytes + msg.size()), kChecksumBytes);
     }
   }
-  server_.Store(resp_offset_, header);
+  server_.Store(off, header);
   if (chk != nullptr) {
-    chk->OnCpuStore(rkey, server_.abs(resp_offset_), kHeaderBytes);
+    chk->OnCpuStore(rkey, server_.abs(off), kHeaderBytes);
     // The header store publishes the whole response: bytes stored after this
     // point (without a fresh publication) are torn for any matching fetch.
-    chk->OnPublish(rkey, server_.abs(resp_offset_),
-                   kHeaderBytes + msg.size() + ChecksumBytes());
+    chk->OnPublish(rkey, server_.abs(off), kHeaderBytes + msg.size() + ChecksumBytes());
   }
-  last_resp_seq_ = last_recv_seq_;
-  last_resp_size_ = static_cast<uint32_t>(msg.size());
-  last_resp_busy_ = false;
-  response_pushed_ = false;
-  if (!defer_server_pushes_ && server_visible_mode() == Mode::kServerReply) {
-    co_await PushReply();
+  RecordResponse(s, static_cast<uint32_t>(msg.size()), /*header_only=*/false);
+  if (PushAtSend()) {
+    co_await PushReply(s);
   }
 }
 
-sim::Task<void> Channel::ServerSendBusy(BusyReason reason, uint16_t retry_after_us) {
-  if (options_.window > 1) {
-    co_return co_await ServerSendBusySlot(reason, retry_after_us);
+void Channel::StoreHeaderOnly(int slot, const ResponseHeader& header) {
+  sslot(slot).pin.reset();  // a superseding send releases any pinned entry
+  const size_t off = land_off(slot);
+  server_.Store(off, header);
+  if (check::FabricChecker* chk = fabric_->checker()) {
+    const uint32_t rkey = server_.remote_key().rkey;
+    chk->OnCpuStore(rkey, server_.abs(off), kHeaderBytes);
+    chk->OnPublish(rkey, server_.abs(off), kHeaderBytes);
   }
-  resp_pin_.reset();  // a superseding send releases any pinned entry
+}
+
+void Channel::RecordResponse(int slot, uint32_t size, bool header_only) {
+  ServerSlot& ss = sslot(slot);
+  ss.last_resp_seq = ss.last_recv_seq;
+  ss.last_resp_size = size;
+  ss.last_resp_busy = header_only;
+  ss.response_pushed = false;
+}
+
+sim::Task<void> Channel::ServerSendBusy(BusyReason reason, uint16_t retry_after_us) {
+  const int s = last_recv_slot_;
   ResponseHeader header;
   header.size_status = wire::PackBusy(reason);
   header.time_us = retry_after_us;
-  header.seq = last_recv_seq_;
-  const uint32_t rkey = server_.remote_key().rkey;
-  // A BUSY response is header-only: the single 8-byte store is its own
-  // publication point, so a racing fetch sees either the old header or the
-  // complete shed notice.
-  server_.Store(resp_offset_, header);
-  if (check::FabricChecker* chk = fabric_->checker()) {
-    chk->OnCpuStore(rkey, server_.abs(resp_offset_), kHeaderBytes);
-    chk->OnPublish(rkey, server_.abs(resp_offset_), kHeaderBytes);
-  }
+  header.seq = sslot(s).last_recv_seq;
+  StoreHeaderOnly(s, header);
   if (reason == BusyReason::kAdmission) {
     ++stats_.shed_admission;
   } else {
@@ -745,88 +397,27 @@ sim::Task<void> Channel::ServerSendBusy(BusyReason reason, uint16_t retry_after_
                    reason == BusyReason::kAdmission ? "shed_admission" : "shed_deadline",
                    reinterpret_cast<uint64_t>(this), engine_.now());
   }
-  last_resp_seq_ = last_recv_seq_;
-  last_resp_size_ = 0;
-  last_resp_busy_ = true;
-  response_pushed_ = false;
-  if (!defer_server_pushes_ && server_visible_mode() == Mode::kServerReply) {
-    co_await PushReply();
+  RecordResponse(s, 0, /*header_only=*/true);
+  if (PushAtSend()) {
+    co_await PushReply(s);
   }
 }
 
 sim::Task<void> Channel::ServerSendRedirect(uint32_t epoch, uint16_t leader_hint) {
-  if (options_.window > 1) {
-    co_return co_await ServerSendRedirectSlot(epoch, leader_hint);
-  }
-  resp_pin_.reset();  // a superseding send releases any pinned entry
+  const int s = last_recv_slot_;
   ResponseHeader header;
   header.size_status = wire::PackRedirect(epoch);
   header.time_us = leader_hint;
-  header.seq = last_recv_seq_;
-  const uint32_t rkey = server_.remote_key().rkey;
-  // Like BUSY, a REDIRECT is header-only: the single 8-byte store is its own
-  // publication point.
-  server_.Store(resp_offset_, header);
-  if (check::FabricChecker* chk = fabric_->checker()) {
-    chk->OnCpuStore(rkey, server_.abs(resp_offset_), kHeaderBytes);
-    chk->OnPublish(rkey, server_.abs(resp_offset_), kHeaderBytes);
-  }
+  header.seq = sslot(s).last_recv_seq;
+  StoreHeaderOnly(s, header);
   ++stats_.shed_redirect;
   if (sim::TraceSink* trace = engine_.trace_sink()) {
     trace->Instant("rfp", "shed_redirect", reinterpret_cast<uint64_t>(this), engine_.now());
   }
-  last_resp_seq_ = last_recv_seq_;
-  last_resp_size_ = 0;
-  last_resp_busy_ = true;  // header-only, like BUSY, for resend/flush sizing
-  response_pushed_ = false;
-  if (!defer_server_pushes_ && server_visible_mode() == Mode::kServerReply) {
-    co_await PushReply();
+  RecordResponse(s, 0, /*header_only=*/true);
+  if (PushAtSend()) {
+    co_await PushReply(s);
   }
-}
-
-void Channel::StageIndirect(int slot, uint16_t seq, uint16_t time_us,
-                            std::span<const std::byte> prefix, const ZeroCopyRef& ref) {
-  const size_t off = land_off(slot);  // == resp_offset_ on window=1 (slot 0)
-  wire::IndirectRef desc;
-  desc.rkey = ref.rkey;
-  desc.value_len = ref.len;
-  desc.value_offset = static_cast<uint64_t>(ref.offset);
-  desc.prefix_len = static_cast<uint32_t>(prefix.size());
-  desc.epoch = ref.epoch;
-  const uint32_t staged = static_cast<uint32_t>(sizeof(wire::IndirectRef) + prefix.size());
-  check::FabricChecker* chk = fabric_->checker();
-  const uint32_t rkey = server_.remote_key().rkey;
-  // Same publication order as ServerSend: staged payload, checksum trailer,
-  // header last. The header store also publishes the ENTRY range — from this
-  // point the store must not touch the pinned value bytes until the channel
-  // releases the pin, or a client fetch can assemble a torn value (the race
-  // detector reports exactly that as race.fetch_store on the entry range).
-  server_.Store(off + kHeaderBytes, desc);
-  server_.WriteBytes(off + kHeaderBytes + sizeof(wire::IndirectRef), prefix);
-  if (chk != nullptr) {
-    chk->OnCpuStore(rkey, server_.abs(off + kHeaderBytes), staged);
-  }
-  if (options_.checksum_responses) {
-    // The trailer covers the staged descriptor+prefix only; the value's
-    // integrity is the pin contract, proven by the race detector.
-    const std::span<const std::byte> staged_bytes =
-        server_.bytes().subspan(off + kHeaderBytes, staged);
-    server_.Store(off + kHeaderBytes + staged, wire::Checksum64(staged_bytes, seq));
-    if (chk != nullptr) {
-      chk->OnCpuStore(rkey, server_.abs(off + kHeaderBytes + staged), kChecksumBytes);
-    }
-  }
-  ResponseHeader header;
-  header.size_status = wire::PackIndirect(staged);
-  header.time_us = time_us;
-  header.seq = seq;
-  server_.Store(off, header);
-  if (chk != nullptr) {
-    chk->OnCpuStore(rkey, server_.abs(off), kHeaderBytes);
-    chk->OnPublish(rkey, server_.abs(off), kHeaderBytes + staged + ChecksumBytes());
-    chk->OnPublish(ref.rkey, ref.offset, ref.len);
-  }
-  ++stats_.zero_copy_sends;
 }
 
 sim::Task<void> Channel::ServerSendZeroCopy(std::span<const std::byte> prefix,
@@ -834,8 +425,8 @@ sim::Task<void> Channel::ServerSendZeroCopy(std::span<const std::byte> prefix,
   if (!ref.valid()) {
     throw std::invalid_argument("rfp channel: zero-copy send without a valid entry ref");
   }
-  const size_t staged = sizeof(wire::IndirectRef) + prefix.size();
-  if (staged > options_.max_message_bytes) {
+  const size_t staged_bytes = sizeof(wire::IndirectRef) + prefix.size();
+  if (staged_bytes > options_.max_message_bytes) {
     throw std::invalid_argument("rfp channel: zero-copy prefix exceeds max_message_bytes");
   }
   if (server_visible_mode() == Mode::kServerReply) {
@@ -852,26 +443,52 @@ sim::Task<void> Channel::ServerSendZeroCopy(std::span<const std::byte> prefix,
     ++stats_.zero_copy_fallbacks;
     co_return co_await ServerSend(full);
   }
-  if (options_.window > 1) {
-    const int s = last_recv_slot_;
-    ServerSlot& ss = sslot(s);
-    ss.pin.reset();  // a superseding send releases the previous entry
-    StageIndirect(s, ss.last_recv_seq, SaturateTimeUs(engine_.now() - ss.recv_time), prefix,
-                  ref);
-    ss.pin = ref.pin;
-    ss.last_resp_seq = ss.last_recv_seq;
-    ss.last_resp_size = static_cast<uint32_t>(staged);
-    ss.last_resp_busy = false;
-    ss.response_pushed = false;
-  } else {
-    resp_pin_.reset();
-    StageIndirect(0, last_recv_seq_, SaturateTimeUs(engine_.now() - recv_time_), prefix, ref);
-    resp_pin_ = ref.pin;
-    last_resp_seq_ = last_recv_seq_;
-    last_resp_size_ = static_cast<uint32_t>(staged);
-    last_resp_busy_ = false;
-    response_pushed_ = false;
+  const int s = last_recv_slot_;
+  ServerSlot& ss = sslot(s);
+  ss.pin.reset();  // a superseding send releases the previous entry
+  const size_t off = land_off(s);
+  wire::IndirectRef desc;
+  desc.rkey = ref.rkey;
+  desc.value_len = ref.len;
+  desc.value_offset = static_cast<uint64_t>(ref.offset);
+  desc.prefix_len = static_cast<uint32_t>(prefix.size());
+  desc.epoch = ref.epoch;
+  const uint32_t staged = static_cast<uint32_t>(staged_bytes);
+  check::FabricChecker* chk = fabric_->checker();
+  const uint32_t rkey = server_.remote_key().rkey;
+  // Same publication order as ServerSend: staged payload, checksum trailer,
+  // header last. The header store also publishes the ENTRY range — from this
+  // point the store must not touch the pinned value bytes until the channel
+  // releases the pin, or a client fetch can assemble a torn value (the race
+  // detector reports exactly that as race.fetch_store on the entry range).
+  server_.Store(off + kHeaderBytes, desc);
+  server_.WriteBytes(off + kHeaderBytes + sizeof(wire::IndirectRef), prefix);
+  if (chk != nullptr) {
+    chk->OnCpuStore(rkey, server_.abs(off + kHeaderBytes), staged);
   }
+  if (options_.checksum_responses) {
+    // The trailer covers the staged descriptor+prefix only; the value's
+    // integrity is the pin contract, proven by the race detector.
+    const std::span<const std::byte> staged_span =
+        server_.bytes().subspan(off + kHeaderBytes, staged);
+    server_.Store(off + kHeaderBytes + staged, wire::Checksum64(staged_span, ss.last_recv_seq));
+    if (chk != nullptr) {
+      chk->OnCpuStore(rkey, server_.abs(off + kHeaderBytes + staged), kChecksumBytes);
+    }
+  }
+  ResponseHeader header;
+  header.size_status = wire::PackIndirect(staged);
+  header.time_us = SaturateTimeUs(engine_.now() - ss.recv_time);
+  header.seq = ss.last_recv_seq;
+  server_.Store(off, header);
+  if (chk != nullptr) {
+    chk->OnCpuStore(rkey, server_.abs(off), kHeaderBytes);
+    chk->OnPublish(rkey, server_.abs(off), kHeaderBytes + staged + ChecksumBytes());
+    chk->OnPublish(ref.rkey, ref.offset, ref.len);
+  }
+  ++stats_.zero_copy_sends;
+  ss.pin = ref.pin;
+  RecordResponse(s, staged, /*header_only=*/false);
 }
 
 sim::Task<size_t> Channel::CompleteIndirect(size_t land, uint32_t staged_size,
@@ -920,26 +537,9 @@ sim::Task<size_t> Channel::CompleteIndirect(size_t land, uint32_t staged_size,
   co_return total;
 }
 
-sim::Task<void> Channel::PushReply() {
-  // BUSY responses carry no payload (and no checksum trailer): push the
-  // header only.
-  const uint32_t len =
-      last_resp_busy_ ? kHeaderBytes : kHeaderBytes + last_resp_size_ + ChecksumBytes();
-  co_await RcOp(/*from_client=*/false, /*is_read=*/false, resp_offset_, resp_offset_, len,
-                "reply push");
-  response_pushed_ = true;
-  ++stats_.reply_pushes;
-}
-
-bool Channel::LandingChecksumOk(uint32_t size) const {
-  const uint64_t stored = client_.Load<uint64_t>(resp_offset_ + kHeaderBytes + size);
-  const std::span<const std::byte> payload =
-      client_.bytes().subspan(resp_offset_ + kHeaderBytes, size);
-  return stored == wire::Checksum64(payload, seq_);
-}
-
 sim::Task<rdma::WorkCompletion> Channel::RcOp(bool from_client, bool is_read, size_t local_off,
-                                              size_t remote_off, uint32_t len, const char* what) {
+                                              size_t remote_off, uint32_t len, const char* what,
+                                              bool doorbell) {
   // Ring offsets are ring-relative; shift by the pooled span's base here, at
   // the MR boundary.
   const RingView& local = from_client ? client_ : server_;
@@ -947,6 +547,11 @@ sim::Task<rdma::WorkCompletion> Channel::RcOp(bool from_client, bool is_read, si
   for (int attempt = 0;; ++attempt) {
     // Re-resolve the QP each attempt: a reconnect replaces it.
     rdma::QueuePair* qp = from_client ? client_qp_ : server_qp_;
+    if (doorbell) {
+      // Booked at post, like every RcBatch attempt.
+      ++stats_.doorbell_batches;
+      stats_.batch_occupancy.Record(1);
+    }
     const rdma::WorkCompletion wc =
         is_read ? co_await qp->Read(*local.mr, local.abs(local_off), remote.remote_key(),
                                     remote.abs(remote_off), len)
@@ -1015,36 +620,9 @@ sim::Task<void> Channel::EnsureConnected(rdma::QueuePair* failed) {
   reconnect_in_progress_ = false;
 }
 
-sim::Task<void> Channel::ReissueRequest() {
-  ++stats_.reissues;
-  if (++seq_ == 0) {
-    ++seq_;  // 0 stays reserved for "never used"
-  }
-  RequestHeader header;
-  header.size_status = wire::PackRequestSizeStatus(last_req_size_, true, request_epoch_);
-  header.seq = seq_;
-  header.mode = static_cast<uint8_t>(mode_);
-  header.deadline_ns = static_cast<uint64_t>(call_deadline_);
-  client_.Store(0, header);  // the payload is still staged from ClientSend
-  if (check::FabricChecker* chk = fabric_->checker()) {
-    chk->OnCpuStore(client_.remote_key().rkey, client_.abs(0), kReqHeaderBytes);
-  }
-  if (sim::TraceSink* trace = engine_.trace_sink()) {
-    trace->Instant("rfp", "reissue", reinterpret_cast<uint64_t>(this), engine_.now());
-  }
-  co_await RcOp(/*from_client=*/true, /*is_read=*/false, 0, 0, kReqHeaderBytes + last_req_size_,
-                "request reissue");
-  // Recovery traffic, not a primary-path WRITE: request_writes stays 1:1
-  // with issued calls so RoundTripsPerCall keeps the Table-3 semantics.
-  ++stats_.recovery_request_writes;
-}
-
 bool Channel::NeedsReplyResend() const {
-  if (unsafe_switch_race_ || server_visible_mode() != Mode::kServerReply) {
+  if (server_visible_mode() != Mode::kServerReply || unsafe_switch_race_) {
     return false;
-  }
-  if (options_.window == 1) {
-    return !response_pushed_ && last_resp_seq_ != 0;
   }
   for (const ServerSlot& ss : sslots_) {
     if (!ss.response_pushed && ss.last_resp_seq != 0) {
@@ -1058,15 +636,9 @@ sim::Task<void> Channel::MaybeResendAfterSwitch() {
   if (unsafe_switch_race_ || server_visible_mode() != Mode::kServerReply) {
     co_return;
   }
-  if (options_.window == 1) {
-    if (!response_pushed_ && last_resp_seq_ != 0) {
-      co_await PushReply();
-    }
-    co_return;
-  }
   for (int s = 0; s < options_.window; ++s) {
     if (!sslot(s).response_pushed && sslot(s).last_resp_seq != 0) {
-      co_await PushReplySlot(s);
+      co_await PushReply(s);
     }
   }
 }
@@ -1075,32 +647,37 @@ sim::Task<void> Channel::FlushServerPushes() {
   if (server_visible_mode() != Mode::kServerReply) {
     co_return;  // remote fetch: responses are local stores, nothing to push
   }
-  if (options_.window == 1) {
-    if (!response_pushed_ && last_resp_seq_ != 0) {
-      co_await PushReply();
+  const auto unpushed = [this](int s) {
+    return !sslot(s).response_pushed && sslot(s).last_resp_seq != 0;
+  };
+  int count = 0;
+  int lone = 0;
+  for (int s = 0; s < options_.window; ++s) {
+    if (unpushed(s)) {
+      ++count;
+      lone = s;
     }
+  }
+  if (count == 0) {
+    co_return;
+  }
+  if (count == 1) {
+    // A lone push needs no doorbell batch; keeps one-response visits (every
+    // visit on a window=1 channel) off the batch counters.
+    co_await PushReply(lone);
     co_return;
   }
   std::vector<BatchOp> ops;
   std::vector<int> slots;
   for (int s = 0; s < options_.window; ++s) {
-    const ServerSlot& ss = sslot(s);
-    if (ss.response_pushed || ss.last_resp_seq == 0) {
+    if (!unpushed(s)) {
       continue;
     }
+    const ServerSlot& ss = sslot(s);
     const uint32_t len =
         ss.last_resp_busy ? kHeaderBytes : kHeaderBytes + ss.last_resp_size + ChecksumBytes();
     ops.push_back({/*is_read=*/false, land_off(s), land_off(s), len});
     slots.push_back(s);
-  }
-  if (ops.empty()) {
-    co_return;
-  }
-  if (ops.size() == 1) {
-    // A lone push needs no doorbell batch; keeps window=1-equivalent visits
-    // (one completed slot) off the batch counters.
-    co_await PushReplySlot(slots[0]);
-    co_return;
   }
   co_await RcBatch(/*from_client=*/false, ops, "reply push batch");
   for (int s : slots) {
@@ -1113,16 +690,11 @@ sim::Task<void> Channel::FlushServerPushes() {
 
 sim::Task<Channel::CallHandle> Channel::SubmitCall(std::span<const std::byte> msg,
                                                    const CallOptions& opts) {
-  if (options_.window == 1) {
-    // Degenerate pipelining: SubmitCall is exactly ClientSend; the per-call
-    // fetch size is parked for the paired ClientRecv/AwaitCall.
-    fetch_override_ = opts.fetch_size;
-    co_await ClientSend(msg, opts.deadline_ns);
-    co_return CallHandle{0, seq_};
-  }
   if (msg.size() > options_.max_message_bytes) {
     throw std::invalid_argument("rfp channel: request exceeds max_message_bytes");
   }
+  // An open breaker delays the submit (idle, not client CPU) until its open
+  // interval elapses; this call then becomes the half-open probe.
   co_await MaybeAwaitBreaker();
   int slot = -1;
   for (int s = 0; s < options_.window; ++s) {
@@ -1132,9 +704,15 @@ sim::Task<Channel::CallHandle> Channel::SubmitCall(std::span<const std::byte> ms
     }
   }
   if (slot < 0) {
-    // Thrown before the checker's OnClientSend: a rejected submit never
-    // becomes an outstanding call.
-    throw std::runtime_error("rfp channel: call window full");
+    if (options_.window > 1) {
+      // Thrown before the checker's OnClientSend: a rejected submit never
+      // becomes an outstanding call.
+      throw std::runtime_error("rfp channel: call window full");
+    }
+    // Window 1 is the paper's single request block: a new call supersedes
+    // an unawaited one, whose late response then fails the seq filter.
+    FreeSlot(0);
+    slot = 0;
   }
   if (check::FabricChecker* chk = fabric_->checker()) {
     chk->OnClientSend(this);
@@ -1158,6 +736,8 @@ sim::Task<Channel::CallHandle> Channel::SubmitCall(std::span<const std::byte> ms
   header.mode = static_cast<uint8_t>(mode_);
   header.slot = static_cast<uint8_t>(slot);
   header.deadline_ns = static_cast<uint64_t>(cs.deadline);
+  // The staging block keeps the payload until the slot is reused, which is
+  // what makes ReissueRequest possible without the caller's buffer.
   client_.Store(req_off(slot), header);
   client_.WriteBytes(req_off(slot) + kReqHeaderBytes, msg);
   if (check::FabricChecker* chk = fabric_->checker()) {
@@ -1165,15 +745,66 @@ sim::Task<Channel::CallHandle> Channel::SubmitCall(std::span<const std::byte> ms
                     kReqHeaderBytes + msg.size());
   }
   ++staged_count_;
-  stats_.submit_window.Record(posted_count_ + staged_count_);
-  co_return CallHandle{slot, cs.seq};
+  const CallHandle handle{slot, cs.seq};
+  if (options_.window == 1) {
+    co_await FlushCalls();  // written immediately: nothing could join its batch
+  } else {
+    stats_.submit_window.Record(posted_count_ + staged_count_);
+  }
+  co_return handle;
+}
+
+uint32_t Channel::MarkPosted(int slot) {
+  ClientSlot& cs = cslot(slot);
+  // Refresh the staged header's mode byte: the channel may have switched
+  // paradigms since the submit, and slot 0's mode byte in the server block
+  // is the server's source of truth — posting a stale one would revert it.
+  client_.Store<uint8_t>(req_off(slot) + kRequestModeOffset, static_cast<uint8_t>(mode_));
+  if (check::FabricChecker* chk = fabric_->checker()) {
+    chk->OnCpuStore(client_.remote_key().rkey, client_.abs(req_off(slot) + kRequestModeOffset),
+                    1);
+  }
+  // Posted from here on: a concurrent flush must not post the slot again.
+  cs.state = ClientSlot::State::kPosted;
+  --staged_count_;
+  ++posted_count_;
+  return kReqHeaderBytes + cs.req_bytes;
+}
+
+void Channel::UnmarkPosted(int slot, uint16_t seq) {
+  ClientSlot& cs = cslot(slot);
+  if (cs.state == ClientSlot::State::kPosted && cs.seq == seq) {
+    cs.state = ClientSlot::State::kStaged;
+    --posted_count_;
+    ++staged_count_;
+  }
 }
 
 sim::Task<void> Channel::FlushCalls() {
-  if (options_.window == 1 || staged_count_ == 0) {
+  if (staged_count_ == 0) {
     co_return;
   }
   const sim::Time start = engine_.now();
+  if (staged_count_ == 1) {
+    // A lone request (every call on a window=1 channel) is one WRITE: no
+    // run to merge, no batch bookkeeping.
+    int s = 0;
+    while (cslot(s).state != ClientSlot::State::kStaged) {
+      ++s;
+    }
+    const uint16_t seq = cslot(s).seq;
+    const BatchOp op{/*is_read=*/false, req_off(s), req_off(s), MarkPosted(s)};
+    try {
+      co_await PostLone(/*from_client=*/true, op, "request write");
+    } catch (...) {
+      UnmarkPosted(s, seq);  // a later flush retries it
+      throw;
+    }
+    ++stats_.calls;
+    ++stats_.request_writes;
+    client_busy_.AddBusy(engine_.now() - start);
+    co_return;
+  }
   // Size rule for merging: the in-bound engine serves a WRITE in
   // max(gap, bytes / bandwidth), so each slot may add up to
   // max(gap x bandwidth, its own bytes) to a span (~400 B at the defaults)
@@ -1187,25 +818,16 @@ sim::Task<void> Channel::FlushCalls() {
   std::vector<uint16_t> seqs;
   ops.reserve(static_cast<size_t>(staged_count_));
   slots.reserve(static_cast<size_t>(staged_count_));
-  check::FabricChecker* chk = fabric_->checker();
   bool run_open = false;  // ops.back() ends at the previous slot, staged
   double run_budget = 0;
   for (int s = 0; s < options_.window; ++s) {
-    ClientSlot& cs = cslot(s);
-    if (cs.state != ClientSlot::State::kStaged) {
+    if (cslot(s).state != ClientSlot::State::kStaged) {
       // A posted or free slot splits the run: its staging bytes (stale
       // header, stale mode byte) must never re-land on the server.
       run_open = false;
       continue;
     }
-    // Refresh the staged header's mode byte: the channel may have switched
-    // paradigms since the submit, and slot 0's mode byte in the server block
-    // is the server's source of truth — posting a stale one would revert it.
-    client_.Store<uint8_t>(req_off(s) + kRequestModeOffset, static_cast<uint8_t>(mode_));
-    if (chk != nullptr) {
-      chk->OnCpuStore(client_.remote_key().rkey, client_.abs(req_off(s) + kRequestModeOffset), 1);
-    }
-    const uint32_t bytes = kReqHeaderBytes + cs.req_bytes;
+    const uint32_t bytes = MarkPosted(s);
     const double allowance = std::max(gap_bytes, static_cast<double>(bytes));
     const size_t span_end = req_off(s) + bytes;
     if (run_open &&
@@ -1219,25 +841,15 @@ sim::Task<void> Channel::FlushCalls() {
       run_budget = allowance;
       run_open = true;
     }
-    // Posted from here on: a concurrent flush must not post the slot again.
-    cs.state = ClientSlot::State::kPosted;
     slots.push_back(s);
-    seqs.push_back(cs.seq);
+    seqs.push_back(cslot(s).seq);
   }
-  staged_count_ -= static_cast<int>(slots.size());
-  posted_count_ += static_cast<int>(slots.size());
   try {
     co_await RcBatch(/*from_client=*/true, ops, "request batch write");
   } catch (...) {
-    // Unposted after all: back to staged, so a later flush retries them
-    // (unless the caller already abandoned or reused the slot).
+    // Unposted after all: back to staged, so a later flush retries them.
     for (size_t i = 0; i < slots.size(); ++i) {
-      ClientSlot& cs = cslot(slots[i]);
-      if (cs.state == ClientSlot::State::kPosted && cs.seq == seqs[i]) {
-        cs.state = ClientSlot::State::kStaged;
-        --posted_count_;
-        ++staged_count_;
-      }
+      UnmarkPosted(slots[i], seqs[i]);
     }
     throw;
   }
@@ -1255,12 +867,6 @@ sim::Task<void> Channel::FlushCalls() {
 }
 
 sim::Task<size_t> Channel::AwaitCall(CallHandle handle, std::span<std::byte> out) {
-  if (options_.window == 1) {
-    if (handle.seq != seq_) {
-      throw std::invalid_argument("rfp channel: stale call handle");
-    }
-    co_return co_await ClientRecv(out);
-  }
   if (handle.slot < 0 || handle.slot >= options_.window) {
     throw std::invalid_argument("rfp channel: call handle slot out of range");
   }
@@ -1273,14 +879,19 @@ sim::Task<size_t> Channel::AwaitCall(CallHandle handle, std::span<std::byte> out
   if (check::FabricChecker* chk = fabric_->checker()) {
     chk->OnClientRecvStart(this);
   }
-  co_await FlushCalls();
+  if (staged_count_ > 0) {
+    co_await FlushCalls();
+  }
   sim::Time fetch_deadline =
       options_.fetch_timeout_ns > 0 ? start + options_.fetch_timeout_ns : 0;
   sim::Time backoff = options_.fetch_backoff_initial_ns;
-  sim::Time slept = 0;  // backoff sleeps are idle time, not client CPU
+  // Time since `start` this call does not book as its own client CPU: an
+  // implicit flush (FlushCalls books its posting interval itself) and
+  // backoff sleeps (idle).
+  sim::Time unbooked = engine_.now() - start;
   while (true) {
     if (mode_ == Mode::kServerReply) {
-      co_return co_await AwaitReplySlot(slot, out);
+      co_return co_await AwaitReply(slot, out);
     }
     if (!cs.landing_ready) {
       co_await FetchSweep(slot);
@@ -1301,18 +912,18 @@ sim::Task<size_t> Channel::AwaitCall(CallHandle handle, std::span<std::byte> out
           if (check::FabricChecker* chk = fabric_->checker()) {
             chk->OnClientRecvDone(this);
           }
-          client_busy_.AddBusy(engine_.now() - start - slept);
+          client_busy_.AddBusy(engine_.now() - start - unbooked);
           FreeSlot(slot);
           throw DeadlineExceeded("rfp channel: call deadline exceeded (request shed)");
         }
         const sim::Time delay = BusyRetryDelay(header.time_us, ++cs.busy_streak);
         co_await engine_.Sleep(delay);
-        slept += delay;
+        unbooked += delay;
         if (cs.deadline != 0 && engine_.now() >= cs.deadline) {
           if (check::FabricChecker* chk = fabric_->checker()) {
             chk->OnClientRecvDone(this);
           }
-          client_busy_.AddBusy(engine_.now() - start - slept);
+          client_busy_.AddBusy(engine_.now() - start - unbooked);
           FreeSlot(slot);
           throw DeadlineExceeded("rfp channel: call deadline exceeded while backing off");
         }
@@ -1321,7 +932,7 @@ sim::Task<size_t> Channel::AwaitCall(CallHandle handle, std::span<std::byte> out
           throw std::runtime_error("rfp channel: request shed after max reissues");
         }
         TransferAttemptReads(&cs.attempt_reads);
-        co_await ReissueRequestSlot(slot);
+        co_await ReissueRequest(slot);
         if (fetch_deadline != 0) {
           fetch_deadline = engine_.now() + options_.fetch_timeout_ns;
         }
@@ -1337,7 +948,7 @@ sim::Task<size_t> Channel::AwaitCall(CallHandle handle, std::span<std::byte> out
           chk->OnClientRecvDone(this);
         }
         ++stats_.redirects;
-        client_busy_.AddBusy(engine_.now() - start - slept);
+        client_busy_.AddBusy(engine_.now() - start - unbooked);
         const Redirected redirected(wire::UnpackRedirectEpoch(header.size_status),
                                     header.time_us);
         FreeSlot(slot);
@@ -1361,7 +972,7 @@ sim::Task<size_t> Channel::AwaitCall(CallHandle handle, std::span<std::byte> out
         ++cs.attempt_reads;
         ++stats_.extra_fetches;
       }
-      if (options_.checksum_responses && !SlotChecksumOk(slot, size)) {
+      if (options_.checksum_responses && !LandingChecksumOk(slot, size)) {
         ++stats_.corrupt_fetches;
         cs.landing_ready = false;
         if (++cs.corrupt >= options_.corrupt_fetches_before_reissue) {
@@ -1370,7 +981,7 @@ sim::Task<size_t> Channel::AwaitCall(CallHandle handle, std::span<std::byte> out
             throw std::runtime_error("rfp channel: response corrupt after max reissues");
           }
           TransferAttemptReads(&cs.attempt_reads);
-          co_await ReissueRequestSlot(slot);
+          co_await ReissueRequest(slot);
           cs.corrupt = 0;
         }
         continue;
@@ -1402,8 +1013,12 @@ sim::Task<size_t> Channel::AwaitCall(CallHandle handle, std::span<std::byte> out
       }
       last_server_time_us_ = header.time_us;
       stats_.retries_per_call.Record(cs.failed);
-      // ">=" rather than the scalar path's "==": a piggybacked sweep can step
-      // another slot's failure count past R between this slot's awaits.
+      // ">= R" to stay consistent with the mid-call switch check, which
+      // already treats a call as slow the moment it reaches R failures.
+      // While the overload override is active, slow calls do not build a
+      // switch streak: a shedding server is saturated, not slow-pathed, and
+      // a stampede of switches to server-reply would only add out-bound
+      // work (see RfpOptions::overload_override_calls).
       slow_streak_ = cs.failed >= options_.retry_threshold && !OverloadSuppressesSwitch()
                          ? slow_streak_ + 1
                          : 0;
@@ -1411,17 +1026,19 @@ sim::Task<size_t> Channel::AwaitCall(CallHandle handle, std::span<std::byte> out
       if (calls_since_busy_ < (1 << 30)) {
         ++calls_since_busy_;
       }
-      client_busy_.AddBusy(engine_.now() - start - slept);
+      client_busy_.AddBusy(engine_.now() - start - unbooked);
       FreeSlot(slot);
       co_return delivered;
     }
-    // The sweep came back without this slot's response.
+    // The sweep came back without this slot's response. ">=", not "==": a
+    // piggybacked sweep can step this slot's failure count past R while
+    // another slot is awaited.
     if (cs.failed >= options_.retry_threshold && adaptive() && !OverloadSuppressesSwitch() &&
         slow_streak_ + 1 >= options_.slow_calls_before_switch) {
       stats_.retries_per_call.Record(cs.failed);
-      client_busy_.AddBusy(engine_.now() - start - slept);
+      client_busy_.AddBusy(engine_.now() - start - unbooked);
       co_await SwitchToReply();
-      co_return co_await AwaitReplySlot(slot, out);
+      co_return co_await AwaitReply(slot, out);
     }
     if (fetch_deadline != 0 && engine_.now() >= fetch_deadline) {
       ++stats_.fetch_timeouts;
@@ -1431,16 +1048,16 @@ sim::Task<size_t> Channel::AwaitCall(CallHandle handle, std::span<std::byte> out
       }
       if (adaptive()) {
         stats_.retries_per_call.Record(cs.failed);
-        client_busy_.AddBusy(engine_.now() - start - slept);
+        client_busy_.AddBusy(engine_.now() - start - unbooked);
         co_await SwitchToReply();
-        co_return co_await AwaitReplySlot(slot, out);
+        co_return co_await AwaitReply(slot, out);
       }
       if (++cs.reissues > options_.max_reissue_attempts) {
         FreeSlot(slot);
         throw std::runtime_error("rfp channel: fetch timed out after max reissues");
       }
       TransferAttemptReads(&cs.attempt_reads);
-      co_await ReissueRequestSlot(slot);
+      co_await ReissueRequest(slot);
       fetch_deadline = engine_.now() + options_.fetch_timeout_ns;
       cs.failed = 0;
     }
@@ -1448,13 +1065,13 @@ sim::Task<size_t> Channel::AwaitCall(CallHandle handle, std::span<std::byte> out
       if (check::FabricChecker* chk = fabric_->checker()) {
         chk->OnClientRecvDone(this);
       }
-      client_busy_.AddBusy(engine_.now() - start - slept);
+      client_busy_.AddBusy(engine_.now() - start - unbooked);
       FreeSlot(slot);
       throw DeadlineExceeded("rfp channel: call deadline exceeded while fetching");
     }
     if (backoff > 0 && cs.failed > options_.retry_threshold) {
       co_await engine_.Sleep(backoff);
-      slept += backoff;
+      unbooked += backoff;
       const sim::Time cap =
           std::max<sim::Time>(options_.fetch_backoff_max_ns, options_.fetch_backoff_initial_ns);
       backoff = std::min<sim::Time>(backoff * 2, cap);
@@ -1463,98 +1080,107 @@ sim::Task<size_t> Channel::AwaitCall(CallHandle handle, std::span<std::byte> out
 }
 
 sim::Task<void> Channel::FetchSweep(int primary) {
+  int pending = 0;
+  int lone = 0;  // the pending slot, when it is the only one
+  for (int s = 0; s < options_.window; ++s) {
+    if (AwaitingFetch(s)) {
+      ++pending;
+      lone = s;
+    }
+  }
+  if (pending == 0) {
+    co_return;
+  }
+  const auto fetch_op = [this](int s) {
+    const ClientSlot& cs = cslot(s);
+    const uint32_t f =
+        cs.fetch_override != 0 ? EffectiveFetch(cs.fetch_override) : options_.fetch_size;
+    return BatchOp{/*is_read=*/true, land_off(s), land_off(s), f};
+  };
+  if (pending == 1) {
+    // One READ (every fetch on a window=1 channel).
+    const BatchOp op = fetch_op(lone);
+    const rdma::WorkCompletion wc = co_await PostLone(/*from_client=*/true, op, "result fetch");
+    ++stats_.fetch_reads;
+    ++cslot(lone).attempt_reads;
+    CheckLanding(lone, wc.check_tick, op.len);
+    co_return;
+  }
   if (options_.coalesced_fetch) {
     // Slots still awaiting a response. Response slots are contiguous in the
     // ring ([resp 0..W-1], block_bytes_ apart), so one spanning READ from the
     // lowest pending slot through the highest covers them all.
-    std::vector<int> pending;
+    std::vector<int> spanned;
     int lo = options_.window;
     int hi = -1;
     for (int s = 0; s < options_.window; ++s) {
-      const ClientSlot& cs = cslot(s);
-      if (cs.state == ClientSlot::State::kPosted && !cs.landing_ready) {
-        pending.push_back(s);
+      if (AwaitingFetch(s)) {
+        spanned.push_back(s);
         lo = std::min(lo, s);
         hi = std::max(hi, s);
       }
     }
-    if (pending.size() >= 2) {
-      // Whole blocks, so no slot ever needs a remainder fetch (a block holds
-      // the largest response + trailer). Re-landing the bytes of a ready-but-
-      // unawaited slot inside the span is benign: the server cannot rewrite a
-      // slot until the client frees it, so identical bytes land again. The
-      // span is ONE in-bound op at the server: service max(gap, bytes/bw)
-      // instead of one 89 ns gap per slot — the per-call in-bound cost drops
-      // toward the single request WRITE (docs/multicore.md).
-      const uint32_t len = static_cast<uint32_t>(static_cast<size_t>(hi - lo + 1) * block_bytes_);
-      const std::vector<BatchOp> span{{/*is_read=*/true, land_off(lo), land_off(lo), len}};
-      const std::vector<rdma::WorkCompletion> wcs =
-          co_await RcBatch(/*from_client=*/true, span, "coalesced fetch");
-      ++stats_.fetch_reads;
-      ++stats_.coalesced_fetches;
-      stats_.coalesced_slots += pending.size();
-      // The span is one wire READ; attribute it to the awaited slot so a
-      // re-issue moves exactly one op into the recovery bucket.
-      ++cslot(primary).attempt_reads;
-      for (int s : pending) {
-        ClientSlot& cs = cslot(s);
-        const ResponseHeader header = client_.Load<ResponseHeader>(land_off(s));
-        if (wire::UnpackStatus(header.size_status) && AcceptSeq(header.seq, cs.seq)) {
-          cs.landing_ready = true;
-          cs.fetch_tick = wcs[0].check_tick;
-          cs.fetched_len = static_cast<uint32_t>(block_bytes_);
-        } else {
-          ++cs.failed;
-          ++stats_.failed_fetches;
-        }
-      }
-      co_return;
+    // Whole blocks, so no slot ever needs a remainder fetch (a block holds
+    // the largest response + trailer). Re-landing the bytes of a ready-but-
+    // unawaited slot inside the span is benign: the server cannot rewrite a
+    // slot until the client frees it, so identical bytes land again. The
+    // span is ONE in-bound op at the server: service max(gap, bytes/bw)
+    // instead of one 89 ns gap per slot — the per-call in-bound cost drops
+    // toward the single request WRITE (docs/multicore.md).
+    const uint32_t len = static_cast<uint32_t>(static_cast<size_t>(hi - lo + 1) * block_bytes_);
+    const rdma::WorkCompletion wc = co_await PostLone(
+        /*from_client=*/true, {/*is_read=*/true, land_off(lo), land_off(lo), len},
+        "coalesced fetch");
+    ++stats_.fetch_reads;
+    ++stats_.coalesced_fetches;
+    stats_.coalesced_slots += spanned.size();
+    // The span is one wire READ; attribute it to the awaited slot so a
+    // re-issue moves exactly one op into the recovery bucket.
+    ++cslot(primary).attempt_reads;
+    for (int s : spanned) {
+      CheckLanding(s, wc.check_tick, static_cast<uint32_t>(block_bytes_));
     }
-    // A single pending slot falls through to the per-slot READ below (which
-    // honors fetch_size and per-call overrides).
+    co_return;
   }
+  // The awaited slot leads (it pays the doorbell); every other in-flight
+  // slot's fetch rides the same batch at the marginal issue cost.
   std::vector<BatchOp> ops;
   std::vector<int> slots;
   const auto add = [&](int s) {
-    const ClientSlot& cs = cslot(s);
-    if (cs.state != ClientSlot::State::kPosted || cs.landing_ready) {
-      return;
+    if (AwaitingFetch(s)) {
+      ops.push_back(fetch_op(s));
+      slots.push_back(s);
     }
-    const uint32_t f =
-        cs.fetch_override != 0 ? EffectiveFetch(cs.fetch_override) : options_.fetch_size;
-    ops.push_back({/*is_read=*/true, land_off(s), land_off(s), f});
-    slots.push_back(s);
   };
-  // The awaited slot leads (it pays the doorbell); every other in-flight
-  // slot's fetch rides the same batch at the marginal issue cost.
   add(primary);
   for (int s = 0; s < options_.window; ++s) {
     if (s != primary) {
       add(s);
     }
   }
-  if (ops.empty()) {
-    co_return;
-  }
   const std::vector<rdma::WorkCompletion> wcs =
       co_await RcBatch(/*from_client=*/true, ops, "result fetch");
   for (size_t i = 0; i < slots.size(); ++i) {
-    ClientSlot& cs = cslot(slots[i]);
     ++stats_.fetch_reads;
-    ++cs.attempt_reads;
-    const ResponseHeader header = client_.Load<ResponseHeader>(land_off(slots[i]));
-    if (wire::UnpackStatus(header.size_status) && AcceptSeq(header.seq, cs.seq)) {
-      cs.landing_ready = true;
-      cs.fetch_tick = wcs[i].check_tick;
-      cs.fetched_len = ops[i].len;
-    } else {
-      ++cs.failed;
-      ++stats_.failed_fetches;
-    }
+    ++cslot(slots[i]).attempt_reads;
+    CheckLanding(slots[i], wcs[i].check_tick, ops[i].len);
   }
 }
 
-sim::Task<size_t> Channel::AwaitReplySlot(int slot, std::span<std::byte> out) {
+void Channel::CheckLanding(int slot, uint64_t check_tick, uint32_t len) {
+  ClientSlot& cs = cslot(slot);
+  const ResponseHeader header = client_.Load<ResponseHeader>(land_off(slot));
+  if (wire::UnpackStatus(header.size_status) && AcceptSeq(header.seq, cs.seq)) {
+    cs.landing_ready = true;
+    cs.fetch_tick = check_tick;
+    cs.fetched_len = len;
+  } else {
+    ++cs.failed;
+    ++stats_.failed_fetches;
+  }
+}
+
+sim::Task<size_t> Channel::AwaitReply(int slot, std::span<std::byte> out) {
   ClientSlot& cs = cslot(slot);
   while (true) {
     const ResponseHeader header = client_.Load<ResponseHeader>(land_off(slot));
@@ -1588,7 +1214,7 @@ sim::Task<size_t> Channel::AwaitReplySlot(int slot, std::span<std::byte> out) {
           FreeSlot(slot);
           throw std::runtime_error("rfp channel: request shed after max reissues");
         }
-        co_await ReissueRequestSlot(slot);
+        co_await ReissueRequest(slot);
         client_busy_.AddBusy(options_.reply_poll_cpu_ns);
         continue;
       }
@@ -1610,13 +1236,13 @@ sim::Task<size_t> Channel::AwaitReplySlot(int slot, std::span<std::byte> out) {
         FreeSlot(slot);
         throw std::length_error("rfp channel: response larger than output buffer");
       }
-      if (options_.checksum_responses && !SlotChecksumOk(slot, size)) {
+      if (options_.checksum_responses && !LandingChecksumOk(slot, size)) {
         ++stats_.corrupt_fetches;
         if (++cs.reissues > options_.max_reissue_attempts) {
           FreeSlot(slot);
           throw std::runtime_error("rfp channel: pushed reply corrupt after max reissues");
         }
-        co_await ReissueRequestSlot(slot);
+        co_await ReissueRequest(slot);
         client_busy_.AddBusy(options_.reply_poll_cpu_ns);
         co_await engine_.Sleep(options_.reply_poll_interval_ns);
         continue;
@@ -1658,7 +1284,7 @@ sim::Task<size_t> Channel::AwaitReplySlot(int slot, std::span<std::byte> out) {
   }
 }
 
-sim::Task<void> Channel::ReissueRequestSlot(int slot) {
+sim::Task<void> Channel::ReissueRequest(int slot) {
   ClientSlot& cs = cslot(slot);
   ++stats_.reissues;
   if (++seq_ == 0) {
@@ -1684,7 +1310,7 @@ sim::Task<void> Channel::ReissueRequestSlot(int slot) {
   ++stats_.recovery_request_writes;
 }
 
-bool Channel::SlotChecksumOk(int slot, uint32_t size) const {
+bool Channel::LandingChecksumOk(int slot, uint32_t size) const {
   const uint64_t stored =
       client_.Load<uint64_t>(land_off(slot) + kHeaderBytes + size);
   const std::span<const std::byte> payload =
@@ -1702,141 +1328,7 @@ void Channel::FreeSlot(int slot) {
   cs = ClientSlot{};
 }
 
-bool Channel::TryServerRecvSlot(std::span<std::byte> out, size_t* size) {
-  for (int i = 0; i < options_.window; ++i) {
-    const int s = (recv_rr_ + i) % options_.window;
-    const RequestHeader header = server_.Load<RequestHeader>(req_off(s));
-    if (!wire::UnpackStatus(header.size_status) || header.slot != s ||
-        header.seq == sslot(s).last_recv_seq) {
-      continue;
-    }
-    const uint32_t payload = wire::UnpackRequestSize(header.size_status);
-    if (payload > out.size()) {
-      throw std::length_error("rfp channel: request larger than server buffer");
-    }
-    if (check::FabricChecker* chk = fabric_->checker()) {
-      chk->OnAccept(check::ViolationKind::kRaceRecvStore, server_.remote_key().rkey,
-                    server_.abs(req_off(s)), kReqHeaderBytes + payload, 0, "server recv");
-    }
-    server_.ReadBytes(req_off(s) + kReqHeaderBytes, out.subspan(0, payload));
-    *size = payload;
-    ServerSlot& ss = sslot(s);
-    // A new request on this slot proves its previous response was consumed:
-    // release the zero-copy entry pinned for it, if any.
-    ss.pin.reset();
-    ss.last_recv_seq = header.seq;
-    ss.recv_time = engine_.now();
-    last_recv_slot_ = s;
-    last_recv_deadline_ns_ = header.deadline_ns;  // mirror for last_request_deadline_ns()
-    last_recv_epoch_ = wire::UnpackRequestEpoch(header.size_status);
-    recv_rr_ = (s + 1) % options_.window;
-    return true;
-  }
-  return false;
-}
-
-sim::Task<void> Channel::ServerSendSlot(std::span<const std::byte> msg) {
-  const int s = last_recv_slot_;
-  ServerSlot& ss = sslot(s);
-  ss.pin.reset();  // a superseding send releases any pinned entry
-  const size_t off = land_off(s);
-  ResponseHeader header;
-  header.size_status = wire::PackSizeStatus(static_cast<uint32_t>(msg.size()), true);
-  header.time_us = SaturateTimeUs(engine_.now() - ss.recv_time);
-  header.seq = ss.last_recv_seq;
-  check::FabricChecker* chk = fabric_->checker();
-  const uint32_t rkey = server_.remote_key().rkey;
-  // Same publication order as the scalar path: payload, checksum trailer,
-  // header last (docs/static_analysis.md).
-  server_.WriteBytes(off + kHeaderBytes, msg);
-  if (chk != nullptr) {
-    chk->OnCpuStore(rkey, server_.abs(off + kHeaderBytes), msg.size());
-  }
-  if (options_.checksum_responses) {
-    server_.Store(off + kHeaderBytes + msg.size(), wire::Checksum64(msg, ss.last_recv_seq));
-    if (chk != nullptr) {
-      chk->OnCpuStore(rkey, server_.abs(off + kHeaderBytes + msg.size()), kChecksumBytes);
-    }
-  }
-  server_.Store(off, header);
-  if (chk != nullptr) {
-    chk->OnCpuStore(rkey, server_.abs(off), kHeaderBytes);
-    chk->OnPublish(rkey, server_.abs(off), kHeaderBytes + msg.size() + ChecksumBytes());
-  }
-  ss.last_resp_seq = ss.last_recv_seq;
-  ss.last_resp_size = static_cast<uint32_t>(msg.size());
-  ss.last_resp_busy = false;
-  ss.response_pushed = false;
-  if (!defer_server_pushes_ && server_visible_mode() == Mode::kServerReply) {
-    co_await PushReplySlot(s);
-  }
-}
-
-sim::Task<void> Channel::ServerSendBusySlot(BusyReason reason, uint16_t retry_after_us) {
-  const int s = last_recv_slot_;
-  ServerSlot& ss = sslot(s);
-  ss.pin.reset();  // a superseding send releases any pinned entry
-  const size_t off = land_off(s);
-  ResponseHeader header;
-  header.size_status = wire::PackBusy(reason);
-  header.time_us = retry_after_us;
-  header.seq = ss.last_recv_seq;
-  const uint32_t rkey = server_.remote_key().rkey;
-  // Header-only single-store publication, as in the scalar path.
-  server_.Store(off, header);
-  if (check::FabricChecker* chk = fabric_->checker()) {
-    chk->OnCpuStore(rkey, server_.abs(off), kHeaderBytes);
-    chk->OnPublish(rkey, server_.abs(off), kHeaderBytes);
-  }
-  if (reason == BusyReason::kAdmission) {
-    ++stats_.shed_admission;
-  } else {
-    ++stats_.shed_deadline;
-  }
-  if (sim::TraceSink* trace = engine_.trace_sink()) {
-    trace->Instant("rfp",
-                   reason == BusyReason::kAdmission ? "shed_admission" : "shed_deadline",
-                   reinterpret_cast<uint64_t>(this), engine_.now());
-  }
-  ss.last_resp_seq = ss.last_recv_seq;
-  ss.last_resp_size = 0;
-  ss.last_resp_busy = true;
-  ss.response_pushed = false;
-  if (!defer_server_pushes_ && server_visible_mode() == Mode::kServerReply) {
-    co_await PushReplySlot(s);
-  }
-}
-
-sim::Task<void> Channel::ServerSendRedirectSlot(uint32_t epoch, uint16_t leader_hint) {
-  const int s = last_recv_slot_;
-  ServerSlot& ss = sslot(s);
-  ss.pin.reset();  // a superseding send releases any pinned entry
-  const size_t off = land_off(s);
-  ResponseHeader header;
-  header.size_status = wire::PackRedirect(epoch);
-  header.time_us = leader_hint;
-  header.seq = ss.last_recv_seq;
-  const uint32_t rkey = server_.remote_key().rkey;
-  // Header-only single-store publication, as in the scalar path.
-  server_.Store(off, header);
-  if (check::FabricChecker* chk = fabric_->checker()) {
-    chk->OnCpuStore(rkey, server_.abs(off), kHeaderBytes);
-    chk->OnPublish(rkey, server_.abs(off), kHeaderBytes);
-  }
-  ++stats_.shed_redirect;
-  if (sim::TraceSink* trace = engine_.trace_sink()) {
-    trace->Instant("rfp", "shed_redirect", reinterpret_cast<uint64_t>(this), engine_.now());
-  }
-  ss.last_resp_seq = ss.last_recv_seq;
-  ss.last_resp_size = 0;
-  ss.last_resp_busy = true;  // header-only, like BUSY, for resend/flush sizing
-  ss.response_pushed = false;
-  if (!defer_server_pushes_ && server_visible_mode() == Mode::kServerReply) {
-    co_await PushReplySlot(s);
-  }
-}
-
-sim::Task<void> Channel::PushReplySlot(int slot) {
+sim::Task<void> Channel::PushReply(int slot) {
   ServerSlot& ss = sslot(slot);
   const uint32_t len =
       ss.last_resp_busy ? kHeaderBytes : kHeaderBytes + ss.last_resp_size + ChecksumBytes();
@@ -1850,7 +1342,9 @@ sim::Task<std::vector<rdma::WorkCompletion>> Channel::RcBatch(bool from_client,
                                                               const std::vector<BatchOp>& ops,
                                                               const char* what) {
   std::vector<rdma::WorkCompletion> out(ops.size());
-  if (ops.empty()) {
+  if (ops.size() == 1) {
+    // A run of staged slots coalesced into one WRITE.
+    out[0] = co_await PostLone(from_client, ops[0], what);
     co_return out;
   }
   std::vector<char> done(ops.size(), 0);

@@ -205,12 +205,15 @@ class Channel {
   // server in the request header; 0 falls back to now + call_deadline_ns
   // when that option is set (else no deadline). With the breaker open, the
   // send first waits out the remaining open interval (half-open probe).
+  // Exactly SubmitCall + FlushCalls; the channel keeps the handle for the
+  // paired ClientRecv.
   sim::Task<void> ClientSend(std::span<const std::byte> msg, sim::Time deadline_ns = 0);
 
   // Receives the response for the last ClientSend into `out`; returns the
   // payload size. `out` must hold at least max_message_bytes. Throws
   // DeadlineExceeded when the call's deadline expired (see class above);
-  // transparently backs off and re-issues on BUSY(admission).
+  // transparently backs off and re-issues on BUSY(admission). Exactly
+  // AwaitCall on the handle ClientSend kept.
   sim::Task<size_t> ClientRecv(std::span<std::byte> out);
 
   // ---- Pipelined call surface (docs/pipelining.md) -------------------------
@@ -223,19 +226,20 @@ class Channel {
   };
 
   // Stages one request into a free slot and returns its handle. On a
-  // window=1 channel this is exactly ClientSend (the request is written
-  // immediately); with window > 1 the request stays staged until the next
-  // FlushCalls/AwaitCall, so a burst of submits coalesces into one
-  // doorbell-batched posting sweep. Throws when all `window` slots hold
-  // in-flight calls.
+  // window=1 channel the request is written immediately (nothing could join
+  // its batch), and a new call supersedes an unawaited one, as the paper's
+  // single request block does. With window > 1 the request stays staged
+  // until the next FlushCalls/AwaitCall, so a burst of submits coalesces
+  // into one doorbell-batched posting sweep; it throws when all `window`
+  // slots hold in-flight calls.
   sim::Task<CallHandle> SubmitCall(std::span<const std::byte> msg,
                                    const CallOptions& opts = {});
 
   // Posts every staged request in one doorbell batch (the first WRITE pays
   // the full out-bound issue cost, followers the batched marginal). A run of
   // adjacent staged slots rides one spanning WRITE while the span costs the
-  // NIC no more than separate WRITEs would (docs/pipelining.md). No-op on
-  // window=1 channels or when nothing is staged; AwaitCall flushes
+  // NIC no more than separate WRITEs would (docs/pipelining.md). No-op when
+  // nothing is staged (always so on window=1 channels); AwaitCall flushes
   // implicitly.
   sim::Task<void> FlushCalls();
 
@@ -256,9 +260,9 @@ class Channel {
   // Sweep loops use it to estimate backlog before deciding admission.
   bool HasPendingRequest() const;
 
-  // Pending (written but not yet consumed) requests across all slots; equals
-  // HasPendingRequest() ? 1 : 0 on window=1 channels. Sweep loops use it to
-  // estimate backlog on pipelined channels.
+  // Pending (written but not yet consumed) requests across all slots; at
+  // most 1 on window=1 channels. Sweep loops use it to estimate backlog on
+  // pipelined channels.
   int PendingRequests() const;
 
   // Non-blocking poll of the request block. On success copies the payload
@@ -437,8 +441,7 @@ class Channel {
     return resp_offset_ + static_cast<size_t>(slot) * block_bytes_;
   }
 
-  // Per-slot client call state, used only when window > 1 (window=1 calls
-  // run the original scalar-state paths untouched).
+  // Per-slot client call state (window=1 is one slot).
   struct ClientSlot {
     enum class State : uint8_t { kFree, kStaged, kPosted };
     State state = State::kFree;
@@ -457,14 +460,14 @@ class Channel {
     uint64_t breaker_epoch = 0;  // breaker epoch at submit (verdict filter)
   };
 
-  // Per-slot server state, used only when window > 1.
+  // Per-slot server state.
   struct ServerSlot {
     uint16_t last_recv_seq = 0;
     uint16_t last_resp_seq = 0;
     bool response_pushed = true;
     sim::Time recv_time = 0;
     uint32_t last_resp_size = 0;
-    bool last_resp_busy = false;
+    bool last_resp_busy = false;  // header-only (BUSY/REDIRECT) response
     // Zero-copy entry pin for this slot's outstanding response; released on
     // the next request received here or a superseding send.
     std::shared_ptr<const void> pin;
@@ -480,6 +483,12 @@ class Channel {
 
   uint32_t EffectiveFetch(uint32_t override_f) const;
   void FreeSlot(int slot);
+  // Staged slot `slot` becomes posted: refreshes its header's mode byte and
+  // returns the request bytes to WRITE.
+  uint32_t MarkPosted(int slot);
+  // Undoes MarkPosted after a failed post, unless the caller already
+  // abandoned or reused the slot (its seq moved on).
+  void UnmarkPosted(int slot, uint16_t seq);
   // Posts all `ops` on the channel's RC pair in one doorbell batch (the
   // first WR pays the full issue cost, followers the batched marginal) and
   // collects their completions, reconnecting and re-posting unfinished ops
@@ -489,27 +498,40 @@ class Channel {
   sim::Task<std::vector<rdma::WorkCompletion>> RcBatch(bool from_client,
                                                        const std::vector<BatchOp>& ops,
                                                        const char* what);
+  // A batch of one WR (every post on a window=1 channel): the synchronous
+  // RcOp, no heap allocation, booked as a one-WR doorbell batch on windowed
+  // channels only.
+  sim::Task<rdma::WorkCompletion> PostLone(bool from_client, const BatchOp& op,
+                                           const char* what) {
+    return RcOp(from_client, op.is_read, op.local_off, op.remote_off, op.len, what,
+                /*doorbell=*/options_.window > 1);
+  }
   // Next completion on `cq` whose wr_id lies in [first, first + count).
   // One actor at a time waits on a CQ; it parks completions that belong to
   // other batches in `reaped_` and wakes their owners.
   sim::Task<rdma::WorkCompletion> ReapCompletion(rdma::CompletionQueue* cq, uint64_t first,
                                                  size_t count);
+  // True while `slot` holds a posted call whose response has not landed.
+  bool AwaitingFetch(int slot) const {
+    const ClientSlot& cs = cslot(slot);
+    return cs.state == ClientSlot::State::kPosted && !cs.landing_ready;
+  }
   // One batched fetch sweep: READs the awaited slot first (it leads the
   // doorbell), piggybacking READs for every other in-flight fetch-mode slot.
   sim::Task<void> FetchSweep(int primary);
-  sim::Task<size_t> AwaitReplySlot(int slot, std::span<std::byte> out);
-  sim::Task<void> ReissueRequestSlot(int slot);
-  bool SlotChecksumOk(int slot, uint32_t size) const;
-  bool TryServerRecvSlot(std::span<std::byte> out, size_t* size);
-  sim::Task<void> ServerSendSlot(std::span<const std::byte> msg);
-  sim::Task<void> ServerSendBusySlot(BusyReason reason, uint16_t retry_after_us);
-  sim::Task<void> ServerSendRedirectSlot(uint32_t epoch, uint16_t leader_hint);
-  sim::Task<void> PushReplySlot(int slot);
-  // Stages the indirect descriptor + prefix into response slot `slot` with
-  // the regular publication order and publishes the entry range. Shared by
-  // the scalar and pipelined ServerSendZeroCopy paths.
-  void StageIndirect(int slot, uint16_t seq, uint16_t time_us,
-                     std::span<const std::byte> prefix, const ZeroCopyRef& ref);
+  // Books one landed fetch READ of `len` bytes for `slot`: a matching header
+  // marks the slot ready, anything else is a failed fetch.
+  void CheckLanding(int slot, uint64_t check_tick, uint32_t len);
+  // Validates the checksum trailer of the response in landing slot `slot`
+  // against that slot's call sequence.
+  bool LandingChecksumOk(int slot, uint32_t size) const;
+  // Server-reply half of AwaitCall: polls landing slot `slot` until its
+  // reply arrives.
+  sim::Task<size_t> AwaitReply(int slot, std::span<std::byte> out);
+  // Books completion of a reply-mode call and evaluates switch-back.
+  void FinishReplyCall(const ResponseHeader& header, uint64_t sent_epoch);
+  // Flips the channel to server-reply and tells the server (1-byte WRITE).
+  sim::Task<void> SwitchToReply();
   // Client side of an indirect response: parses the descriptor staged at
   // ring offset `land`, copies the prefix, fetches the entry with one READ
   // (into a pool bounce span — the value can exceed the landing block), and
@@ -522,38 +544,42 @@ class Channel {
                                              uint32_t rkey, size_t remote_off, uint32_t len,
                                              const char* what);
 
-  ResponseHeader LandingHeader() const;
-  // Flips the channel to server-reply and tells the server (1-byte WRITE).
-  sim::Task<void> SwitchToReply();
-  // Polls the local landing buffer until the reply for `seq_` arrives.
-  sim::Task<size_t> AwaitReply(std::span<std::byte> out);
-  // Books completion of a reply-mode call and evaluates switch-back.
-  void FinishReplyCall(const ResponseHeader& header, uint64_t sent_epoch);
-  // Pushes the response stored for `last_resp_seq_` to the client.
-  sim::Task<void> PushReply();
+  // Stores a header-only (BUSY/REDIRECT) response into response slot
+  // `slot`: the single 8-byte store is its own publication point, so a
+  // racing fetch sees either the old header or the complete notice.
+  void StoreHeaderOnly(int slot, const ResponseHeader& header);
+  // Books that response slot `slot` holds a fresh, unpushed response of
+  // `size` staged bytes (`header_only` for BUSY/REDIRECT).
+  void RecordResponse(int slot, uint32_t size, bool header_only);
+  // True when a fresh response must be pushed at once: the client replies
+  // in server-reply mode and the sweep does not defer pushes.
+  bool PushAtSend() const {
+    return !defer_server_pushes_ && server_visible_mode() == Mode::kServerReply;
+  }
+  // Pushes the response stored in slot `slot` to the client.
+  sim::Task<void> PushReply(int slot);
 
   // ---- Fault recovery ------------------------------------------------------
 
   uint32_t ChecksumBytes() const {
     return options_.checksum_responses ? kChecksumBytes : 0;
   }
-  // Validates the checksum trailer of the response currently in the landing
-  // block against the current call sequence.
-  bool LandingChecksumOk(uint32_t size) const;
   // One RC op (read or write) between the channel's fixed regions with
   // transparent reconnect-and-retry on a QP-error completion. Throws after
   // max_reconnect_attempts or on any non-QP-error failure. Offsets are
   // ring-relative and shifted by the pooled span base at the MR boundary.
+  // `doorbell` books every post attempt as a one-WR doorbell batch.
   sim::Task<rdma::WorkCompletion> RcOp(bool from_client, bool is_read, size_t local_off,
-                                       size_t remote_off, uint32_t len, const char* what);
+                                       size_t remote_off, uint32_t len, const char* what,
+                                       bool doorbell = false);
   // Replaces the RC pair after `failed` completed with a QP error. A no-op
   // when another actor already replaced it; concurrent callers wait for the
   // in-flight reconnect instead of racing a second one.
   sim::Task<void> EnsureConnected(rdma::QueuePair* failed);
-  // Re-sends the current request under a fresh sequence tag. The server
-  // re-executes it (handlers are idempotent by the RFP contract: one request
-  // block, one response block, last write wins).
-  sim::Task<void> ReissueRequest();
+  // Re-sends the request staged in `slot` under a fresh sequence tag. The
+  // server re-executes it (handlers are idempotent by the RFP contract: one
+  // request block, one response block, last write wins).
+  sim::Task<void> ReissueRequest(int slot);
 
   // ---- Overload protection (docs/overload.md) ------------------------------
 
@@ -569,7 +595,7 @@ class Channel {
   }
   // Books one call outcome into the breaker window (bad = BUSY or fetch
   // timeout) and drives the state machine. `sent_epoch` is the breaker
-  // epoch the call was sent under (stamped at ClientSend/SubmitCall): in
+  // epoch the call was sent under (stamped at SubmitCall): in
   // the half-open state only a call sent since the last open — the probe —
   // may deliver the verdict, so a stale call still draining from before
   // the outage can neither re-open the breaker a second time for the same
@@ -603,16 +629,21 @@ class Channel {
   std::shared_ptr<mem::Pool> client_pool_;
   mem::Span server_span_;  // pool span holding [request ring][response ring]
   mem::Span client_span_;  // pool span holding [staging ring][landing ring]
-  RingView server_;        // ring-relative view of server_span_
   RingView client_;        // ring-relative view of client_span_
-  size_t block_bytes_;     // bytes per block (header + max message)
   size_t resp_offset_;     // ring offset of the response block / landing
+  // What a server sweep's poll reads, declared together: sweeps poll every
+  // channel they own, and each cache line a poll touches is paid on every
+  // channel of every sweep.
+  RingView server_;        // ring-relative view of server_span_
+  size_t block_bytes_;     // bytes per block (header + max message)
+  std::vector<ServerSlot> sslots_;  // `window` entries
+  int recv_rr_ = 0;         // round-robin start of the server's slot scan
+  int last_recv_slot_ = 0;  // slot of the request TryServerRecv returned
 
   // Client state.
   uint16_t seq_ = 0;
   uint32_t request_epoch_ = 0;  // stamped into every request header (0 = legacy)
-  uint32_t last_req_size_ = 0;  // payload bytes still staged for re-issue
-  uint32_t fetch_override_ = 0;  // window=1 SubmitCall per-call fetch size
+  CallHandle legacy_call_;      // ClientSend's call, awaited by ClientRecv
   bool reconnect_in_progress_ = false;
   Mode mode_ = Mode::kRemoteFetch;
   sim::Time reply_mode_since_ = 0;  // trace: start of the current reply-mode span
@@ -622,28 +653,23 @@ class Channel {
   sim::BusyMeter client_busy_;
 
   // Overload-protection client state.
-  sim::Time call_deadline_ = 0;  // absolute; 0 = none (current call)
   int calls_since_busy_ = 1 << 30;  // effectively "never saw BUSY"
   BreakerState breaker_state_ = BreakerState::kClosed;
   sim::Time breaker_open_until_ = 0;
   int breaker_window_calls_ = 0;
   int breaker_window_bad_ = 0;
-  uint64_t breaker_epoch_ = 0;         // bumped on every open
-  uint64_t scalar_breaker_epoch_ = 0;  // epoch the scalar call was sent under
+  uint64_t breaker_epoch_ = 0;  // bumped on every open
   uint16_t last_retry_after_us_ = 0;
   sim::Rng rng_{0x4252};  // re-seeded per channel in the ctor
 
-  // Pipelined-call state (empty / unused when window == 1).
+  // Client call slots, `window` entries.
   std::vector<ClientSlot> cslots_;
-  std::vector<ServerSlot> sslots_;
   ClientSlot& cslot(int s) { return cslots_[static_cast<size_t>(s)]; }
   const ClientSlot& cslot(int s) const { return cslots_[static_cast<size_t>(s)]; }
   ServerSlot& sslot(int s) { return sslots_[static_cast<size_t>(s)]; }
   const ServerSlot& sslot(int s) const { return sslots_[static_cast<size_t>(s)]; }
   int staged_count_ = 0;
   int posted_count_ = 0;
-  int last_recv_slot_ = 0;  // slot of the request TryServerRecv returned
-  int recv_rr_ = 0;         // round-robin start of the server's slot scan
 
   // RcBatch completion routing (see ReapCompletion).
   uint64_t next_wr_id_ = 0;
@@ -652,19 +678,11 @@ class Channel {
   sim::Notifier reap_waiters_{engine_};           // batches parked on a busy CQ
 
   // Server state.
-  uint16_t last_recv_seq_ = 0;
-  uint16_t last_resp_seq_ = 0;
-  bool response_pushed_ = true;  // no unsent response outstanding
-  sim::Time recv_time_ = 0;
-  uint32_t last_resp_size_ = 0;
-  uint64_t last_recv_deadline_ns_ = 0;
-  uint32_t last_recv_epoch_ = 0;  // epoch of the last received request
-  bool last_resp_busy_ = false;  // BUSY responses push the header only
+  uint64_t last_recv_deadline_ns_ = 0;  // deadline of the last received request
+  uint32_t last_recv_epoch_ = 0;        // epoch of the last received request
   bool defer_server_pushes_ = false;  // see set_defer_server_pushes
   bool unsafe_accept_stale_seq_ = false;  // TEST ONLY, see setter
   bool unsafe_switch_race_ = false;       // TEST ONLY, see setter
-  // Zero-copy entry pin for the scalar path's outstanding response.
-  std::shared_ptr<const void> resp_pin_;
 
   Stats stats_;
 };

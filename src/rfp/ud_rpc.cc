@@ -174,7 +174,11 @@ sim::Task<size_t> UdRpcClient::Call(uint16_t rpc_id, std::span<const std::byte> 
       const UdHeader reply = LoadHeader(*region_, rx_offset);
       const size_t payload = wc->byte_len >= kHdr ? wc->byte_len - kHdr : 0;
       const bool match = wc->ok() && reply.seq == seq;
-      if (match && payload <= response.size()) {
+      if (match) {
+        if (payload > response.size()) {
+          RepostRecv(wc->wr_id);
+          throw std::length_error("ud rpc: response larger than output buffer");
+        }
         region_->ReadBytes(rx_offset + kHdr, response.subspan(0, payload));
       }
       RepostRecv(wc->wr_id);

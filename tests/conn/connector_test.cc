@@ -6,9 +6,8 @@
 //     blocks it replaced;
 //   * cached mode shares channels across leases and works end-to-end under
 //     JakiroClient (same answers as a direct-mode client);
-//   * ConfigBuilder presets compose, conflicting paradigms are rejected at
-//     build time, and the deprecated free-function wrappers still produce
-//     identical configs.
+//   * ConfigBuilder presets compose and conflicting paradigms are rejected
+//     at build time.
 
 #include "src/conn/connector.h"
 
@@ -196,20 +195,6 @@ TEST(ConfigBuilderTest, ConflictingParadigmsAreRejectedAtBuildTime) {
   // Re-forcing the same paradigm is idempotent, not a conflict.
   EXPECT_NO_THROW(kv::JakiroConfig::Build().ServerReply().ServerReply());
   EXPECT_NO_THROW(kv::JakiroConfig::Build().NoSwitch().Pipelined(4).NoSwitch());
-}
-
-TEST(ConfigBuilderTest, DeprecatedWrappersMatchTheBuilder) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const kv::JakiroConfig wrapped = kv::FaultTolerantConfig();
-  const kv::JakiroConfig piped = kv::PipelinedConfig({}, 4);
-#pragma GCC diagnostic pop
-  const kv::JakiroConfig built = kv::JakiroConfig::Build().FaultTolerant();
-  EXPECT_EQ(wrapped.channel_options.fetch_timeout_ns,
-            built.channel_options.fetch_timeout_ns);
-  EXPECT_EQ(wrapped.channel_options.checksum_responses,
-            built.channel_options.checksum_responses);
-  EXPECT_EQ(piped.channel_options.window, 4);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -175,6 +176,27 @@ TEST_F(PooledTest, OneEndpointPlaysManyLogicalConnectionsSequentially) {
   // The connect fast path does no MR work: the client's footprint is its
   // construction-time slot span, across all fifty logical connections.
   EXPECT_EQ(fabric_.RegisteredBytes(node), client_bytes);
+}
+
+// A matching reply larger than the caller's buffer is an error, as on the RC
+// channel: the call must not report bytes it never copied.
+TEST_F(PooledTest, ReplyLargerThanResponseBufferThrows) {
+  PooledServer* server = MakeServer();
+  rdma::Node& node = fabric_.AddNode("client");
+  PooledClient client(fabric_, node, *server);
+  bool threw = false;
+  engine_.Spawn([](PooledClient* c, bool* out) -> sim::Task<void> {
+    co_await c->Connect();
+    std::vector<std::byte> resp(2);  // the echo needs 5 bytes
+    try {
+      (void)co_await c->Call(kEcho, AsBytes("hello"), resp);
+    } catch (const std::length_error&) {
+      *out = true;
+    }
+  }(&client, &threw));
+  engine_.RunUntil(sim::Millis(5));
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(client.stats().calls, 1u);
 }
 
 TEST_F(PooledTest, RetransmitsAndFiltersDuplicatesUnderLoss) {

@@ -1,10 +1,10 @@
 // Pipelined multi-slot channel tests (docs/pipelining.md): slot-ring round
-// trips, doorbell-batching stats, the window=1 degeneracy of the async
-// surface (SubmitCall/AwaitCall must be schedule-identical to
-// ClientSend/ClientRecv), per-call CallOptions knobs, window-full and
-// stale-handle errors, the Table-2 legacy API riding slot 0 of a windowed
-// channel, coalesced request WRITEs and concurrent posting batches, and the
-// pipelined Jakiro MultiGet.
+// trips, doorbell-batching stats, client-CPU booking of an implicit flush, a
+// window=1 scenario pinned to the schedule of the original single-slot
+// implementation, per-call CallOptions knobs, window-full and stale-handle
+// errors, the Table-2 legacy API riding slot 0 of a windowed channel,
+// coalesced request WRITEs and concurrent posting batches, and the pipelined
+// Jakiro MultiGet.
 
 #include <cstring>
 #include <functional>
@@ -114,6 +114,36 @@ TEST_F(PipelineTest, Window4AwaitOutOfOrder) {
   EXPECT_EQ(ch->stats().calls, 4u);
 }
 
+// An implicit flush inside AwaitCall books its posting interval as client
+// CPU once, exactly like an explicit FlushCalls before the await.
+TEST_F(PipelineTest, ImplicitFlushBooksClientCpuOnce) {
+  const auto run = [](bool explicit_flush) {
+    sim::Engine engine;
+    rdma::Fabric fabric(engine);
+    rdma::Node& client = fabric.AddNode("client");
+    rdma::Node& server = fabric.AddNode("server");
+    RfpOptions options;
+    options.window = 4;
+    Channel ch(fabric, client, server, options);
+    engine.Spawn(EchoServer(engine, &ch, 2));
+    engine.Spawn([](Channel* c, bool flush) -> sim::Task<void> {
+      std::vector<std::byte> out(16384);
+      const Channel::CallHandle a = co_await c->SubmitCall(AsBytes("first"));
+      const Channel::CallHandle b = co_await c->SubmitCall(AsBytes("second"));
+      if (flush) {
+        co_await c->FlushCalls();
+      }
+      EXPECT_EQ(co_await c->AwaitCall(a, out), 5u);
+      EXPECT_EQ(co_await c->AwaitCall(b, out), 6u);
+    }(&ch, explicit_flush));
+    engine.Run();
+    return ch.client_busy().busy();
+  };
+  const sim::Time implicit = run(false);
+  EXPECT_GT(implicit, 0);
+  EXPECT_EQ(implicit, run(true));
+}
+
 TEST_F(PipelineTest, SlotsAreReusedAcrossGenerations) {
   RfpOptions options;
   options.window = 2;
@@ -142,47 +172,112 @@ TEST_F(PipelineTest, SlotsAreReusedAcrossGenerations) {
   EXPECT_EQ(ch->stats().retries_per_call.count(), static_cast<uint64_t>(kRounds * 2));
 }
 
-// The async surface on a default (window=1) channel is the legacy path:
-// same virtual-time schedule, same wire counters.
-TEST_F(PipelineTest, Window1SubmitAwaitMatchesClientSendRecv) {
-  struct Result {
-    sim::Time end = 0;
-    uint64_t calls = 0;
-    uint64_t request_writes = 0;
-    uint64_t fetch_reads = 0;
-  };
-  auto run = [](bool async_surface) {
-    sim::Engine engine;
-    rdma::Fabric fabric(engine);
-    rdma::Node& client = fabric.AddNode("client");
-    rdma::Node& server = fabric.AddNode("server");
-    Channel ch(fabric, client, server, RfpOptions{});
-    engine.Spawn(EchoServer(engine, &ch, 6));
-    engine.Spawn([](Channel* c, bool async) -> sim::Task<void> {
-      std::vector<std::byte> out(16384);
-      for (int i = 0; i < 6; ++i) {
-        const std::string msg = "same-" + std::to_string(i);
-        if (async) {
-          const Channel::CallHandle h = co_await c->SubmitCall(AsBytes(msg));
-          const size_t got = co_await c->AwaitCall(h, out);
-          EXPECT_EQ(got, msg.size());
-        } else {
-          co_await c->ClientSend(AsBytes(msg));
-          const size_t got = co_await c->ClientRecv(out);
-          EXPECT_EQ(got, msg.size());
-        }
+// One window=1 scenario pinned to constants recorded from the original
+// single-slot implementation: engine end time and every Stats field. It
+// covers fetch retries, the switch to server-reply and back, a BUSY
+// re-issue, a zero-copy response and a QP-error reconnect, on both the
+// Table-2 surface (ClientSend/ClientRecv) and the async one.
+TEST_F(PipelineTest, Window1ScenarioMatchesRecordedSchedule) {
+  sim::Engine engine;
+  rdma::Fabric fabric(engine);
+  rdma::Node& client = fabric.AddNode("client");
+  rdma::Node& server = fabric.AddNode("server");
+  Channel ch(fabric, client, server, RfpOptions{});
+  rdma::MemoryRegion* entry =
+      server.RegisterMemory(64, rdma::kAccessRemoteRead);
+  const std::string value = "zero-copy-value";
+  entry->WriteBytes(8, AsBytes(value));
+  bool done = false;
+
+  // Request ops: 'f' fast, 's' slow (15 us handler), 'b' shed once with
+  // BUSY(admission) then served, 'z' answered zero-copy from `entry`.
+  engine.Spawn([](sim::Engine& eng, Channel* c, rdma::MemoryRegion* mr, uint32_t value_len,
+                  const bool* stop) -> sim::Task<void> {
+    std::vector<std::byte> buf(16384);
+    bool shed = false;
+    while (!*stop) {
+      if (c->NeedsReplyResend()) {
+        co_await c->MaybeResendAfterSwitch();
       }
-    }(&ch, async_surface));
-    engine.Run();
-    return Result{engine.now(), ch.stats().calls, ch.stats().request_writes,
-                  ch.stats().fetch_reads};
-  };
-  const Result legacy = run(false);
-  const Result async = run(true);
-  EXPECT_EQ(async.end, legacy.end);  // bit-for-bit: same event schedule
-  EXPECT_EQ(async.calls, legacy.calls);
-  EXPECT_EQ(async.request_writes, legacy.request_writes);
-  EXPECT_EQ(async.fetch_reads, legacy.fetch_reads);
+      size_t n = 0;
+      if (!c->TryServerRecv(buf, &n)) {
+        co_await eng.Sleep(sim::Nanos(200));
+        continue;
+      }
+      const char op = static_cast<char>(buf[0]);
+      co_await eng.Sleep(op == 's' ? sim::Micros(15) : sim::Nanos(300));
+      if (op == 'b' && !shed) {
+        shed = true;
+        co_await c->ServerSendBusy(BusyReason::kAdmission, 2);
+      } else if (op == 'z') {
+        ZeroCopyRef ref;
+        ref.rkey = mr->remote_key().rkey;
+        ref.offset = 8;
+        ref.len = value_len;
+        co_await c->ServerSendZeroCopy(std::span<const std::byte>(buf.data(), n), ref);
+      } else {
+        co_await c->ServerSend(std::span<const std::byte>(buf.data(), n));
+      }
+    }
+  }(engine, &ch, entry, static_cast<uint32_t>(value.size()), &done));
+
+  engine.Spawn([](Channel* c, std::string zero_copy_value, bool* stop) -> sim::Task<void> {
+    const std::string script = "ffsssffffbzDff";
+    std::vector<std::byte> out(16384);
+    int i = 0;
+    for (const char op : script) {
+      if (op == 'D') {
+        c->Detach();  // the next post fails with a QP error and reconnects
+        continue;
+      }
+      const std::string msg = std::string(1, op) + "-call-" + std::to_string(i);
+      size_t got = 0;
+      if (i++ % 2 == 0) {
+        co_await c->ClientSend(AsBytes(msg));
+        got = co_await c->ClientRecv(out);
+      } else {
+        const Channel::CallHandle h = co_await c->SubmitCall(AsBytes(msg));
+        got = co_await c->AwaitCall(h, out);
+      }
+      const std::string want = op == 'z' ? msg + zero_copy_value : msg;
+      EXPECT_EQ(std::string(reinterpret_cast<const char*>(out.data()), got), want);
+    }
+    *stop = true;
+  }(&ch, value, &done));
+  engine.Run();
+
+  // Recorded from the original single-slot implementation.
+  EXPECT_EQ(engine.now(), 104046);
+  const Channel::Stats& st = ch.stats();
+  EXPECT_EQ(st.calls, 13u);
+  EXPECT_EQ(st.request_writes, 13u);
+  EXPECT_EQ(st.fetch_reads, 26u);
+  EXPECT_EQ(st.failed_fetches, 16u);
+  EXPECT_EQ(st.reply_pushes, 4u);
+  EXPECT_EQ(st.switches_to_reply, 1u);
+  EXPECT_EQ(st.switches_to_fetch, 1u);
+  EXPECT_EQ(st.reconnects, 1u);
+  EXPECT_EQ(st.reissues, 1u);
+  EXPECT_EQ(st.recovery_request_writes, 1u);
+  EXPECT_EQ(st.recovery_fetch_reads, 1u);
+  EXPECT_EQ(st.busy_responses, 1u);
+  EXPECT_EQ(st.shed_admission, 1u);
+  EXPECT_EQ(st.zero_copy_sends, 1u);
+  EXPECT_EQ(st.zero_copy_fetches, 1u);
+  EXPECT_EQ(st.zero_copy_bytes, 15u);
+  EXPECT_EQ(st.retries_per_call.count(), 10u);
+  EXPECT_EQ(st.retries_per_call.max(), 11);
+  EXPECT_DOUBLE_EQ(st.retries_per_call.mean(), 1.6);
+  EXPECT_EQ(ch.client_busy().busy(), 74738);
+  // Every other counter is zero; in particular a window=1 channel never
+  // books pipelining counters.
+  EXPECT_EQ(st.extra_fetches + st.corrupt_fetches + st.fetch_timeouts + st.shed_deadline +
+                st.breaker_opens + st.redirects + st.shed_redirect + st.doorbell_batches +
+                st.batched_ops + st.coalesced_fetches + st.coalesced_slots +
+                st.coalesced_writes + st.coalesced_write_slots + st.zero_copy_fallbacks,
+            0u);
+  EXPECT_EQ(st.submit_window.count(), 0u);
+  EXPECT_EQ(st.batch_occupancy.count(), 0u);
 }
 
 TEST_F(PipelineTest, PerCallFetchSizeOverrideSkipsRemainderFetch) {
@@ -247,9 +342,10 @@ TEST_F(PipelineTest, StaleHandleThrows) {
   engine_.Run();
 }
 
-// Table 2's Endpoint wrappers drive ClientSend/ClientRecv, which on a
-// windowed channel is exactly the slot-0 path: legacy code keeps working on
-// a pipelined channel with no recompilation of its call sites.
+// Table 2's Endpoint wrappers drive ClientSend/ClientRecv, which are
+// SubmitCall + FlushCalls and AwaitCall: sequential legacy calls ride slot 0
+// of a windowed channel, so legacy code keeps working on a pipelined channel
+// with no recompilation of its call sites.
 TEST_F(PipelineTest, LegacyEndpointRidesSlotZeroOfWindowedChannel) {
   RfpOptions options;
   options.window = 4;
@@ -270,9 +366,11 @@ TEST_F(PipelineTest, LegacyEndpointRidesSlotZeroOfWindowedChannel) {
   }(client_node_, ch));
   engine_.Run();
   EXPECT_EQ(ch->stats().calls, 3u);
-  // Slot-0 sequential calls never stage more than one request, so no
-  // doorbell batch ever forms.
-  EXPECT_EQ(ch->stats().doorbell_batches, 0u);
+  // Slot-0 sequential calls never stage more than one request: every WRITE
+  // and fetch READ is a one-WR doorbell batch, and nothing rides another's.
+  EXPECT_EQ(ch->stats().doorbell_batches,
+            ch->stats().request_writes + ch->stats().fetch_reads);
+  EXPECT_EQ(ch->stats().batched_ops, 0u);
 }
 
 // ---- Coalesced request WRITEs -------------------------------------------------

@@ -1,7 +1,9 @@
 #include "src/rfp/ud_rpc.h"
 
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -63,6 +65,26 @@ TEST_F(UdRpcTest, LosslessEchoRoundTrip) {
   server->Stop();
   EXPECT_EQ(got, "datagram rpc");
   EXPECT_EQ(client.stats().retransmits, 0u);
+  EXPECT_EQ(server->requests_served(), 1u);
+}
+
+// A matching reply larger than the caller's buffer is an error, as on the RC
+// channel: the call must not report bytes it never copied.
+TEST_F(UdRpcTest, ReplyLargerThanResponseBufferThrows) {
+  UdRpcServer* server = MakeServer();
+  UdRpcClient client(*fabric_, *client_node_, server->address(0));
+  bool threw = false;
+  engine_.Spawn([](UdRpcClient* c, bool* out) -> sim::Task<void> {
+    std::vector<std::byte> resp(4);  // the echo needs 12 bytes
+    try {
+      (void)co_await c->Call(kEcho, AsBytes("datagram rpc"), resp);
+    } catch (const std::length_error&) {
+      *out = true;
+    }
+  }(&client, &threw));
+  engine_.RunUntil(sim::Millis(2));
+  server->Stop();
+  EXPECT_TRUE(threw);
   EXPECT_EQ(server->requests_served(), 1u);
 }
 
