@@ -158,12 +158,7 @@ Outcome RunClass(
   out.during_mops = mops(at_recovery - at_fault, kFaultEnd - kFaultStart);
   out.after_mops = mops(total() - at_recovery, kRunEnd - kFaultEnd);
   for (rfp::Channel* channel : channels) {
-    const rfp::Channel::Stats& s = channel->stats();
-    out.stats.reconnects += s.reconnects;
-    out.stats.reissues += s.reissues;
-    out.stats.corrupt_fetches += s.corrupt_fetches;
-    out.stats.fetch_timeouts += s.fetch_timeouts;
-    out.stats.switches_to_reply += s.switches_to_reply;
+    obs::Merge(out.stats, channel->stats());
   }
   for (uint64_t m : mismatches) {
     out.mismatches += m;

@@ -215,7 +215,7 @@ Outcome RunPoint(int workers, int window) {
   out.bottleneck = out.inbound_util >= out.cpu_util ? "nic_inbound" : "cpu";
   out.steals = server.channel_steals();
   for (rfp::Channel* channel : channels) {
-    bench::MergeChannelStats(out.stats, channel->stats());
+    obs::Merge(out.stats, channel->stats());
   }
   if (out.stats.calls > 0) {
     out.inbound_ops_per_call = static_cast<double>(server_node.nic().inbound_ops()) /

@@ -229,7 +229,7 @@ Outcome RunSweepPoint(double offered_mops, bool protect, bool crash) {
   out.p50_us = static_cast<double>(latency.Percentile(0.50)) / 1000.0;
   out.p99_us = static_cast<double>(latency.Percentile(0.99)) / 1000.0;
   for (rfp::Channel* channel : channels) {
-    bench::MergeChannelStats(out.stats, channel->stats());
+    obs::Merge(out.stats, channel->stats());
   }
   out.server_shed = server.requests_shed_admission() + server.requests_shed_deadline();
   out.overload_enters = server.overload_enters();

@@ -193,7 +193,7 @@ Outcome RunSweepPoint(int window, uint32_t value_bytes, int workers, bool multic
   out.p50_us = static_cast<double>(latency.Percentile(0.50)) / 1000.0;
   out.p99_us = static_cast<double>(latency.Percentile(0.99)) / 1000.0;
   for (rfp::Channel* channel : channels) {
-    bench::MergeChannelStats(out.stats, channel->stats());
+    obs::Merge(out.stats, channel->stats());
   }
   out.occupancy = out.stats.batch_occupancy.count() > 0 ? out.stats.batch_occupancy.mean() : 1.0;
   const uint64_t wire_writes =

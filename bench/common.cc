@@ -12,6 +12,7 @@
 #include "src/conn/connector.h"
 #include "src/kv/jakiro.h"
 #include "src/kv/pilaf_store.h"
+#include "src/obs/catalog.h"
 #include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/rdma/fabric.h"
@@ -349,40 +350,6 @@ sim::Task<void> PilafDriver(sim::Engine& eng, kv::PilafClient* client, workload:
 
 }  // namespace
 
-void MergeChannelStats(rfp::Channel::Stats& into, const rfp::Channel::Stats& from) {
-  into.calls += from.calls;
-  into.request_writes += from.request_writes;
-  into.fetch_reads += from.fetch_reads;
-  into.failed_fetches += from.failed_fetches;
-  into.extra_fetches += from.extra_fetches;
-  into.reply_pushes += from.reply_pushes;
-  into.switches_to_reply += from.switches_to_reply;
-  into.switches_to_fetch += from.switches_to_fetch;
-  into.reconnects += from.reconnects;
-  into.reissues += from.reissues;
-  into.corrupt_fetches += from.corrupt_fetches;
-  into.fetch_timeouts += from.fetch_timeouts;
-  into.recovery_request_writes += from.recovery_request_writes;
-  into.recovery_fetch_reads += from.recovery_fetch_reads;
-  into.busy_responses += from.busy_responses;
-  into.shed_admission += from.shed_admission;
-  into.shed_deadline += from.shed_deadline;
-  into.breaker_opens += from.breaker_opens;
-  into.doorbell_batches += from.doorbell_batches;
-  into.batched_ops += from.batched_ops;
-  into.coalesced_fetches += from.coalesced_fetches;
-  into.coalesced_slots += from.coalesced_slots;
-  into.coalesced_writes += from.coalesced_writes;
-  into.coalesced_write_slots += from.coalesced_write_slots;
-  into.zero_copy_sends += from.zero_copy_sends;
-  into.zero_copy_fetches += from.zero_copy_fetches;
-  into.zero_copy_bytes += from.zero_copy_bytes;
-  into.zero_copy_fallbacks += from.zero_copy_fallbacks;
-  into.retries_per_call.Merge(from.retries_per_call);
-  into.submit_window.Merge(from.submit_window);
-  into.batch_occupancy.Merge(from.batch_occupancy);
-}
-
 // ---- Flag plumbing -------------------------------------------------------------
 
 void Init(int& argc, char** argv) {
@@ -645,7 +612,7 @@ EchoRunResult RunEcho(const EchoRunConfig& config_in) {
   for (size_t i = 0; i < endpoints.size(); ++i) {
     rfp::Channel* channel = endpoints[i].channel();
     busy_total += static_cast<double>(channel->client_busy().busy() - busy_at_warmup[i]);
-    MergeChannelStats(result.channels, channel->stats());
+    obs::Merge(result.channels, channel->stats());
     if (channel->client_mode() == rfp::Mode::kServerReply) {
       ++result.channels_in_reply_mode;
     }
@@ -815,7 +782,7 @@ KvRunResult RunKv(const KvRunConfig& config_in) {
   double busy_total = 0;
   for (size_t i = 0; i < all_channels.size(); ++i) {
     busy_total += static_cast<double>(all_channels[i]->client_busy().busy() - busy_at_warmup[i]);
-    MergeChannelStats(result.channels, all_channels[i]->stats());
+    obs::Merge(result.channels, all_channels[i]->stats());
   }
   // Busy time sums over channels, but each client thread multiplexes its
   // channels, so normalize by threads.

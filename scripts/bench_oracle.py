@@ -37,6 +37,8 @@ BENCHES = [
     "bench_ext_memory",
     "bench_ext_explore",
     "bench_ext_multiget",
+    "bench_ext_conn_scale",
+    "bench_ext_related_work",
 ]
 
 DIFF_LINES = 20

@@ -70,15 +70,7 @@ ChannelCache::~ChannelCache() {
   for (Entry& entry : doomed_) {
     DestroyEntry(entry);
   }
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  reg.GetCounter("conn.cache.hits", {})->Add(stats_.hits);
-  reg.GetCounter("conn.cache.misses", {})->Add(stats_.misses);
-  if (stats_.evictions > 0) {
-    reg.GetCounter("conn.cache.evictions", {})->Add(stats_.evictions);
-  }
-  if (stats_.detach_evictions > 0) {
-    reg.GetCounter("conn.cache.detach_evictions", {})->Add(stats_.detach_evictions);
-  }
+  obs::Flush(obs::MetricsRegistry::Default(), {}, stats_);
 }
 
 ChannelLease ChannelCache::MakeLease(Entry& entry) {

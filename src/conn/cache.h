@@ -29,6 +29,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "src/obs/catalog.h"
 #include "src/rdma/node.h"
 #include "src/rfp/options.h"
 #include "src/rfp/rpc.h"
@@ -74,14 +75,16 @@ class ChannelLease {
   void* entry_ = nullptr;  // ChannelCache::Entry, opaque to the lease
 };
 
+// Stats catalog (src/obs/catalog.h), flushed unlabeled.
+#define CONN_CACHE_STATS(X)                                                            \
+  X(counter, hits, "conn.cache.hits", always, "leases served from the cache")          \
+  X(counter, misses, "conn.cache.misses", always, "misses; each is one AcceptChannel") \
+  X(counter, evictions, "conn.cache.evictions", self, "idle + detach evictions")       \
+  X(counter, detach_evictions, "conn.cache.detach_evictions", self, "pinned victims (Detach)")
+
 class ChannelCache {
  public:
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;             // each miss is one AcceptChannel
-    uint64_t evictions = 0;          // idle + detach evictions
-    uint64_t detach_evictions = 0;   // victims evicted while pinned (Detach)
-  };
+  struct Stats { OBS_STATS(Stats, CONN_CACHE_STATS) };
 
   explicit ChannelCache(CacheOptions options = {});
 

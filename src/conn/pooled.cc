@@ -66,14 +66,7 @@ PooledServer::PooledServer(rdma::Fabric& fabric, rfp::RpcServer& rpc, PooledOpti
 }
 
 PooledServer::~PooledServer() {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  const obs::Labels labels{{"node", node_.name()}};
-  reg.GetCounter("conn.pooled.connects", labels)->Add(connects_);
-  reg.GetCounter("conn.pooled.disconnects", labels)->Add(disconnects_);
-  reg.GetCounter("conn.pooled.requests", labels)->Add(requests_served_);
-  if (dropped_requests_ > 0) {
-    reg.GetCounter("conn.pooled.dropped_requests", labels)->Add(dropped_requests_);
-  }
+  obs::Flush(obs::MetricsRegistry::Default(), {{"node", node_.name()}}, stats_);
   for (rdma::QueuePair* qp : qps_) {
     fabric_.RetireQp(qp);
   }
@@ -201,12 +194,12 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
     // whichever QP runs dry first.
     free_slots_.push_back(slot);
     if (!ok) {
-      ++dropped_requests_;
+      ++stats_.dropped_requests;
       continue;
     }
     if (rpc_id == kRpcConnect) {
       if (body_bytes < 2 * sizeof(uint32_t)) {
-        ++dropped_requests_;
+        ++stats_.dropped_requests;
         continue;
       }
       uint32_t client_node = 0;
@@ -217,10 +210,10 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
       // A retransmitted connect assigns a fresh cid and the client keeps the
       // first reply's — the duplicate entry then ages in the table until the
       // server dies. Retransmits need injected loss or a pathological
-      // timeout, so the leak is bounded by the retransmit count; connects_
+      // timeout, so the leak is bounded by the retransmit count; connects()
       // vs live_connections() exposes it.
       const uint32_t new_cid = AssignCid(reply_to);
-      ++connects_;
+      ++stats_.connects;
       std::memcpy(response.data(), &new_cid, sizeof(uint32_t));
       co_await SendReply(qp, mr, tx, reply_to, header.seq, 0,
                          std::span<const std::byte>(response.data(), sizeof(uint32_t)));
@@ -230,7 +223,7 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
     if (cid == rfp::wire::kPooledCidNone || it == clients_.end()) {
       // Stale or closed connection (or a disconnect retransmit): drop, the
       // client's retransmit path surfaces the failure.
-      ++dropped_requests_;
+      ++stats_.dropped_requests;
       continue;
     }
     // Capture the reply address by value: the handler below may suspend, and
@@ -241,13 +234,13 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
       if (check::FabricChecker* chk = fabric_.checker()) {
         chk->OnCidRelease(this, cid);
       }
-      ++disconnects_;
+      ++stats_.disconnects;
       co_await SendReply(qp, mr, tx, reply_to, header.seq, 0, {});
       continue;
     }
     const rfp::AsyncHandler* handler = rpc_.FindHandler(rpc_id);
     if (handler == nullptr) {
-      ++dropped_requests_;
+      ++stats_.dropped_requests;
       continue;
     }
     // Same handler table as the channel sweep; handlers are idempotent by
@@ -267,14 +260,14 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
       rdma::MemoryRegion* entry = fabric_.FindRemote(rdma::RemoteKey{result.zero_copy.rkey});
       const size_t value_len = result.zero_copy.len;
       if (entry == nullptr || resp_size + value_len > response.size()) {
-        ++dropped_requests_;
+        ++stats_.dropped_requests;
         continue;
       }
       entry->ReadBytes(result.zero_copy.offset,
                        std::span(response.data() + resp_size, value_len));
       resp_size += value_len;
     }
-    ++requests_served_;
+    ++stats_.requests_served;
     co_await SendReply(qp, mr, tx, reply_to, header.seq,
                        rfp::SaturateTimeUs(engine.now() - begun),
                        std::span<const std::byte>(response.data(), resp_size));
@@ -299,19 +292,7 @@ PooledClient::PooledClient(rdma::Fabric& fabric, rdma::Node& node, PooledServer&
 }
 
 PooledClient::~PooledClient() {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  const obs::Labels labels{{"client", node_.name()}};
-  reg.GetCounter("conn.pooled.client_connects", labels)->Add(stats_.connects);
-  reg.GetCounter("conn.pooled.client_calls", labels)->Add(stats_.calls);
-  if (stats_.connects > 0) {
-    reg.GetHistogram("conn.connect_ns", labels)->Merge(connect_latency_);
-  }
-  if (stats_.retransmits > 0) {
-    reg.GetCounter("conn.pooled.client_retransmits", labels)->Add(stats_.retransmits);
-  }
-  if (stats_.failures > 0) {
-    reg.GetCounter("conn.pooled.client_failures", labels)->Add(stats_.failures);
-  }
+  obs::Flush(obs::MetricsRegistry::Default(), {{"client", node_.name()}}, stats_);
   fabric_.RetireQp(qp_);
   pool_->Free(span_);
 }
@@ -345,7 +326,7 @@ sim::Task<void> PooledClient::Connect() {
   }
   std::memcpy(&cid_, out.data(), sizeof(uint32_t));
   ++stats_.connects;
-  connect_latency_.Record(fabric_.engine().now() - start);
+  stats_.connect_latency.Record(fabric_.engine().now() - start);
 }
 
 sim::Task<void> PooledClient::Disconnect() {

@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "src/mem/pool.h"
+#include "src/obs/catalog.h"
 #include "src/rdma/fabric.h"
 #include "src/rfp/rpc.h"
 #include "src/sim/stats.h"
@@ -72,16 +73,31 @@ struct PooledOptions {
 // field, ...).
 void ValidateOptions(const PooledOptions& options);
 
+// Stats catalogs (src/obs/catalog.h). PooledClient::Stats also keeps
+// disconnects, sends and duplicates for callers; those are not flushed.
+#define CONN_POOLED_SERVER_STATS(X)                                                  \
+  X(counter, connects, "conn.pooled.connects", always, "cids assigned")              \
+  X(counter, disconnects, "conn.pooled.disconnects", always, "cids released")        \
+  X(counter, requests_served, "conn.pooled.requests", always, "requests dispatched") \
+  X(counter, dropped_requests, "conn.pooled.dropped_requests", self, "unknown-cid/bad requests")
+#define CONN_POOLED_CLIENT_STATS(X)                                                      \
+  X(counter, connects, "conn.pooled.client_connects", always, "Connect calls completed") \
+  X(counter, calls, "conn.pooled.client_calls", always, "calls completed")               \
+  X(counter, retransmits, "conn.pooled.client_retransmits", self, "request re-sends")    \
+  X(counter, failures, "conn.pooled.client_failures", self, "calls out of retransmits")  \
+  X(histogram, connect_latency, "conn.connect_ns", when(connects), "Connect latency (ns)")
+
 // The server side: N UD QPs + one shared receive-slot arena, dispatching
 // into `rpc`'s handler table. Does not touch `rpc`'s channel sweep — the
 // pooled path and dedicated channels serve concurrently from one handler
 // registration.
 class PooledServer {
  public:
+  struct Stats { OBS_STATS(Stats, CONN_POOLED_SERVER_STATS) };
+
   PooledServer(rdma::Fabric& fabric, rfp::RpcServer& rpc, PooledOptions options = {});
 
-  // Flushes conn.pooled.* counters into the default metrics registry,
-  // labeled {node}, and frees the slot arena back to the node pool.
+  // Flushes Stats labeled {node} and frees the slot arena back to the pool.
   ~PooledServer();
 
   PooledServer(const PooledServer&) = delete;
@@ -101,11 +117,11 @@ class PooledServer {
 
   // Logical connections currently live (cid entries in the demux table).
   size_t live_connections() const { return clients_.size(); }
-  uint64_t connects() const { return connects_; }
-  uint64_t disconnects() const { return disconnects_; }
-  uint64_t requests_served() const { return requests_served_; }
+  uint64_t connects() const { return stats_.connects; }
+  uint64_t disconnects() const { return stats_.disconnects; }
+  uint64_t requests_served() const { return stats_.requests_served; }
   // Requests dropped: unknown cid (stale/closed connection) or malformed.
-  uint64_t dropped_requests() const { return dropped_requests_; }
+  uint64_t dropped_requests() const { return stats_.dropped_requests; }
   // Datagrams dropped because no receive slot was posted (burst overflow).
   uint64_t recv_overflows() const;
 
@@ -139,10 +155,7 @@ class PooledServer {
   std::unordered_map<uint32_t, ClientEntry> clients_;
   uint32_t next_cid_ = 0;
   int next_qp_ = 0;
-  uint64_t connects_ = 0;
-  uint64_t disconnects_ = 0;
-  uint64_t requests_served_ = 0;
-  uint64_t dropped_requests_ = 0;
+  Stats stats_;
 };
 
 // One logical client endpoint. A single PooledClient (one UD QP, one pool
@@ -152,22 +165,17 @@ class PooledServer {
 class PooledClient {
  public:
   struct Stats {
-    uint64_t connects = 0;
+    OBS_STATS(Stats, CONN_POOLED_CLIENT_STATS)
     uint64_t disconnects = 0;
-    uint64_t calls = 0;
     uint64_t sends = 0;       // includes retransmits
-    uint64_t retransmits = 0;
     uint64_t duplicates = 0;  // late replies to already-completed seqs
-    uint64_t failures = 0;    // calls that exhausted max_retransmits
   };
 
   // The client must use the same PooledOptions geometry as the server.
   PooledClient(rdma::Fabric& fabric, rdma::Node& node, PooledServer& server,
                PooledOptions options = {});
 
-  // Flushes conn.pooled client counters and the connect-latency histogram
-  // into the default metrics registry, labeled {client}, and frees the slot
-  // span back to the node pool.
+  // Flushes Stats labeled {client} and frees the slot span back to the pool.
   ~PooledClient();
 
   PooledClient(const PooledClient&) = delete;
@@ -189,7 +197,7 @@ class PooledClient {
   bool connected() const { return cid_ != 0; }
   uint32_t cid() const { return cid_; }
   const Stats& stats() const { return stats_; }
-  const sim::Histogram& connect_latency() const { return connect_latency_; }
+  const sim::Histogram& connect_latency() const { return stats_.connect_latency; }
 
  private:
   size_t slot_bytes() const;
@@ -211,7 +219,6 @@ class PooledClient {
   uint32_t cid_ = 0;
   uint16_t next_seq_ = 0;
   Stats stats_;
-  sim::Histogram connect_latency_;
 };
 
 }  // namespace conn

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "src/mem/pool.h"
+#include "src/obs/catalog.h"
 #include "src/rdma/node.h"
 
 namespace explore {
@@ -32,21 +33,23 @@ class HistoryRecorder;
 
 namespace kv {
 
+// Partition stats catalog (src/obs/catalog.h); ~JakiroServer flushes the sum.
+#define KV_BUCKET_TABLE_STATS(X)                                                           \
+  X(counter, hits, "kv.store.hits", always, "GETs that found the key")                     \
+  X(counter, misses, "kv.store.misses", always, "GETs that did not")                       \
+  X(counter, inserts, "kv.store.inserts", always, "PUTs of a new key")                     \
+  X(counter, updates, "kv.store.updates", always, "PUTs overwriting a key")                \
+  X(counter, evictions, "kv.store.evictions", always, "entries evicted from full buckets") \
+  X(counter, erases, "kv.store.erases", always, "keys erased")                             \
+  /* Pool mode: PUTs that hit a pinned entry and had to allocate a fresh */                \
+  /* cell instead of overwriting in place (the zero-copy safety path). */                  \
+  X(counter, cow_puts, "kv.store.cow_puts", always, "copy-on-write PUTs")
+
 class BucketTable {
  public:
   static constexpr int kSlotsPerBucket = 8;
 
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t inserts = 0;
-    uint64_t updates = 0;
-    uint64_t evictions = 0;
-    uint64_t erases = 0;
-    // Pool mode: PUTs that hit a pinned entry and had to allocate a fresh
-    // cell instead of overwriting in place (the zero-copy safety path).
-    uint64_t cow_puts = 0;
-  };
+  struct Stats { OBS_STATS(Stats, KV_BUCKET_TABLE_STATS) };
 
   // A pinned view of a pool-backed entry, for zero-copy GET responses. The
   // coordinates name the value inside the node's registered memory; `pin`

@@ -39,12 +39,7 @@ FarmStore::FarmStore(rdma::Node& node, const FarmConfig& config)
 
 FarmStore::~FarmStore() {
   pool_->Free(cells_span_);
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  const obs::Labels labels{{"store", "farm"}, {"node", node_name_}};
-  reg.GetCounter("kv.store.inserts", labels)->Add(stats_.inserts);
-  reg.GetCounter("kv.store.updates", labels)->Add(stats_.updates);
-  reg.GetCounter("kv.farm.displacements", labels)->Add(stats_.displacements);
-  reg.GetCounter("kv.farm.failed_inserts", labels)->Add(stats_.failed_inserts);
+  obs::Flush(obs::MetricsRegistry::Default(), {{"store", "farm"}, {"node", node_name_}}, stats_);
 }
 
 FarmStore::View FarmStore::view() const {

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/mem/pool.h"
+#include "src/obs/catalog.h"
 #include "src/rdma/fabric.h"
 #include "src/rfp/options.h"
 #include "src/rfp/rpc.h"
@@ -49,6 +50,13 @@ struct FarmConfig {
   rfp::ServerOptions server_options;
 };
 
+// Stats catalog (src/obs/catalog.h).
+#define KV_FARM_STORE_STATS(X)                                                  \
+  X(counter, inserts, "kv.store.inserts", always, "PUTs of a new key")          \
+  X(counter, updates, "kv.store.updates", always, "PUTs overwriting a key")     \
+  X(counter, displacements, "kv.farm.displacements", always, "hopscotch moves") \
+  X(counter, failed_inserts, "kv.farm.failed_inserts", always, "inserts that found no slot")
+
 class FarmStore {
  public:
   struct DecodedCell {
@@ -71,16 +79,11 @@ class FarmStore {
     uint64_t base = 0;
   };
 
-  struct Stats {
-    uint64_t inserts = 0;
-    uint64_t updates = 0;
-    uint64_t displacements = 0;  // hopscotch moves
-    uint64_t failed_inserts = 0;
-  };
+  struct Stats { OBS_STATS(Stats, KV_FARM_STORE_STATS) };
 
   FarmStore(rdma::Node& node, const FarmConfig& config);
 
-  // Flushes Stats into the default metrics registry ({store: "farm"}).
+  // Flushes Stats into the default metrics registry ({store: farm, node}).
   ~FarmStore();
 
   FarmStore(const FarmStore&) = delete;

@@ -71,23 +71,10 @@ JakiroServer::JakiroServer(rdma::Fabric& fabric, rdma::Node& node, JakiroConfig 
 JakiroServer::~JakiroServer() {
   BucketTable::Stats total;
   for (const auto& partition : partitions_) {
-    total.hits += partition->stats().hits;
-    total.misses += partition->stats().misses;
-    total.inserts += partition->stats().inserts;
-    total.updates += partition->stats().updates;
-    total.evictions += partition->stats().evictions;
-    total.erases += partition->stats().erases;
-    total.cow_puts += partition->stats().cow_puts;
+    obs::Merge(total, partition->stats());
   }
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  const obs::Labels labels{{"store", "jakiro"}, {"node", rpc_.node().name()}};
-  reg.GetCounter("kv.store.hits", labels)->Add(total.hits);
-  reg.GetCounter("kv.store.misses", labels)->Add(total.misses);
-  reg.GetCounter("kv.store.inserts", labels)->Add(total.inserts);
-  reg.GetCounter("kv.store.updates", labels)->Add(total.updates);
-  reg.GetCounter("kv.store.evictions", labels)->Add(total.evictions);
-  reg.GetCounter("kv.store.erases", labels)->Add(total.erases);
-  reg.GetCounter("kv.store.cow_puts", labels)->Add(total.cow_puts);
+  obs::Flush(obs::MetricsRegistry::Default(), {{"store", "jakiro"}, {"node", rpc_.node().name()}},
+             total);
 }
 
 int JakiroServer::OwnerThread(std::span<const std::byte> key) const {
@@ -448,34 +435,7 @@ sim::Histogram JakiroClient::MergedLatency() const {
 rfp::Channel::Stats JakiroClient::MergedChannelStats() const {
   rfp::Channel::Stats merged;
   for (const conn::ChannelLease& endpoint : endpoints_) {
-    const rfp::Channel::Stats& s = endpoint.channel()->stats();
-    merged.calls += s.calls;
-    merged.request_writes += s.request_writes;
-    merged.fetch_reads += s.fetch_reads;
-    merged.failed_fetches += s.failed_fetches;
-    merged.extra_fetches += s.extra_fetches;
-    merged.reply_pushes += s.reply_pushes;
-    merged.switches_to_reply += s.switches_to_reply;
-    merged.switches_to_fetch += s.switches_to_fetch;
-    merged.reconnects += s.reconnects;
-    merged.reissues += s.reissues;
-    merged.corrupt_fetches += s.corrupt_fetches;
-    merged.fetch_timeouts += s.fetch_timeouts;
-    merged.doorbell_batches += s.doorbell_batches;
-    merged.batched_ops += s.batched_ops;
-    merged.coalesced_fetches += s.coalesced_fetches;
-    merged.coalesced_slots += s.coalesced_slots;
-    merged.coalesced_writes += s.coalesced_writes;
-    merged.coalesced_write_slots += s.coalesced_write_slots;
-    merged.zero_copy_sends += s.zero_copy_sends;
-    merged.zero_copy_fetches += s.zero_copy_fetches;
-    merged.zero_copy_bytes += s.zero_copy_bytes;
-    merged.zero_copy_fallbacks += s.zero_copy_fallbacks;
-    merged.redirects += s.redirects;
-    merged.shed_redirect += s.shed_redirect;
-    merged.retries_per_call.Merge(s.retries_per_call);
-    merged.submit_window.Merge(s.submit_window);
-    merged.batch_occupancy.Merge(s.batch_occupancy);
+    obs::Merge(merged, endpoint.channel()->stats());
   }
   return merged;
 }

@@ -32,14 +32,8 @@ MemcachedServer::~MemcachedServer() {
   for (Item& item : lru_) {
     pool_->Free(item.span);
   }
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  const obs::Labels labels{{"store", "memcached"}, {"node", rpc_.node().name()}};
-  reg.GetCounter("kv.store.gets", labels)->Add(stats_.gets);
-  reg.GetCounter("kv.store.puts", labels)->Add(stats_.puts);
-  reg.GetCounter("kv.store.hits", labels)->Add(stats_.hits);
-  reg.GetCounter("kv.store.misses", labels)->Add(stats_.misses);
-  reg.GetCounter("kv.store.evictions", labels)->Add(stats_.evictions);
-  reg.GetCounter("kv.store.hot_hits", labels)->Add(stats_.hot_hits);
+  obs::Flush(obs::MetricsRegistry::Default(),
+             {{"store", "memcached"}, {"node", rpc_.node().name()}}, stats_);
 }
 
 bool MemcachedServer::TouchHotSet(uint64_t key_hash) {

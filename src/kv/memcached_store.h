@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/mem/pool.h"
+#include "src/obs/catalog.h"
 #include "src/rdma/fabric.h"
 #include "src/rfp/options.h"
 #include "src/rfp/rpc.h"
@@ -51,20 +52,22 @@ struct MemcachedConfig {
   rfp::ServerOptions server_options;
 };
 
+// Stats catalog (src/obs/catalog.h).
+#define KV_MEMCACHED_STATS(X)                                          \
+  X(counter, gets, "kv.store.gets", always, "GETs served")             \
+  X(counter, puts, "kv.store.puts", always, "PUTs served")             \
+  X(counter, hits, "kv.store.hits", always, "GETs that found the key") \
+  X(counter, misses, "kv.store.misses", always, "GETs that did not")   \
+  X(counter, evictions, "kv.store.evictions", always, "LRU evictions") \
+  X(counter, hot_hits, "kv.store.hot_hits", always, "GETs served from the hot set")
+
 class MemcachedServer {
  public:
-  struct Stats {
-    uint64_t gets = 0;
-    uint64_t puts = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t hot_hits = 0;
-  };
+  struct Stats { OBS_STATS(Stats, KV_MEMCACHED_STATS) };
 
   MemcachedServer(rdma::Fabric& fabric, rdma::Node& node, MemcachedConfig config = {});
 
-  // Flushes Stats into the default metrics registry ({store: "memcached"}).
+  // Flushes Stats into the default metrics registry ({store: memcached, node}).
   ~MemcachedServer();
 
   MemcachedServer(const MemcachedServer&) = delete;

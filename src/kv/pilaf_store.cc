@@ -68,17 +68,8 @@ PilafClient::PilafClient(rdma::Fabric& fabric, rdma::Node& client_node, PilafSer
 
 PilafClient::~PilafClient() {
   pool_->Free(read_span_);
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  const obs::Labels labels{{"store", "pilaf"}, {"client", qp_->local_node()->name()}};
-  reg.GetCounter("kv.store.gets", labels)->Add(stats_.gets);
-  reg.GetCounter("kv.store.puts", labels)->Add(stats_.puts);
-  reg.GetCounter("kv.pilaf.slot_reads", labels)->Add(stats_.slot_reads);
-  reg.GetCounter("kv.pilaf.extent_reads", labels)->Add(stats_.extent_reads);
-  reg.GetCounter("kv.pilaf.crc_failures", labels)->Add(stats_.crc_failures);
-  reg.GetCounter("kv.pilaf.hash_misses", labels)->Add(stats_.hash_misses);
-  reg.GetCounter("kv.pilaf.retries", labels)->Add(stats_.retries);
-  reg.GetCounter("kv.store.misses", labels)->Add(stats_.not_found);
-  reg.GetHistogram("kv.pilaf.get_latency_ns", labels)->Merge(get_latency_);
+  obs::Flush(obs::MetricsRegistry::Default(),
+             {{"store", "pilaf"}, {"client", qp_->local_node()->name()}}, stats_);
 }
 
 sim::Task<std::optional<size_t>> PilafClient::Get(std::span<const std::byte> key,
@@ -137,12 +128,12 @@ sim::Task<std::optional<size_t>> PilafClient::Get(std::span<const std::byte> key
       }
       rdma::CopyBytes(value_out.subspan(0, slot.value_size),
                       record.subspan(slot.key_size, slot.value_size));
-      get_latency_.Record(engine.now() - start);
+      stats_.get_latency.Record(engine.now() - start);
       co_return slot.value_size;
     }
     if (!torn) {
       ++stats_.not_found;
-      get_latency_.Record(engine.now() - start);
+      stats_.get_latency.Record(engine.now() - start);
       co_return std::nullopt;
     }
     ++stats_.retries;

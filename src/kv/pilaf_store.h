@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/kv/cuckoo.h"
+#include "src/obs/catalog.h"
 #include "src/rdma/fabric.h"
 #include "src/rfp/options.h"
 #include "src/rfp/rpc.h"
@@ -74,17 +75,22 @@ class PilafServer {
   sim::Mutex put_lock_;  // Cuckoo mutation is serialized on the server
 };
 
+// Stats catalog (src/obs/catalog.h).
+#define KV_PILAF_CLIENT_STATS(X)                                                                 \
+  X(counter, gets, "kv.store.gets", always, "GETs issued")                                       \
+  X(counter, puts, "kv.store.puts", always, "PUTs issued")                                       \
+  X(counter, slot_reads, "kv.pilaf.slot_reads", always, "one-sided READs of metadata slots")     \
+  X(counter, extent_reads, "kv.pilaf.extent_reads", always, "one-sided READs of extent records") \
+  X(counter, crc_failures, "kv.pilaf.crc_failures", always, "torn entries detected and retried") \
+  X(counter, hash_misses, "kv.pilaf.hash_misses", always, "probed slots not holding the key")    \
+  X(counter, retries, "kv.pilaf.retries", always, "whole-lookup retries")                        \
+  X(counter, not_found, "kv.store.misses", always, "GETs that found no key")                     \
+  X(histogram, get_latency, "kv.pilaf.get_latency_ns", always, "GET latency (ns)")
+
 class PilafClient {
  public:
   struct Stats {
-    uint64_t gets = 0;
-    uint64_t puts = 0;
-    uint64_t slot_reads = 0;    // one-sided READs of metadata slots
-    uint64_t extent_reads = 0;  // one-sided READs of extent records
-    uint64_t crc_failures = 0;  // torn entries detected and retried
-    uint64_t hash_misses = 0;   // probed slots that did not hold the key
-    uint64_t retries = 0;       // whole-lookup retries
-    uint64_t not_found = 0;
+    OBS_STATS(Stats, KV_PILAF_CLIENT_STATS)
 
     double ReadsPerGet() const {
       return gets == 0 ? 0.0
@@ -96,8 +102,7 @@ class PilafClient {
   PilafClient(rdma::Fabric& fabric, rdma::Node& client_node, PilafServer& server,
               int put_thread);
 
-  // Flushes Stats and the GET latency histogram into the default metrics
-  // registry ({store: "pilaf", client}).
+  // Flushes Stats into the default metrics registry ({store: pilaf, client}).
   ~PilafClient();
 
   // One-sided GET. Returns the value size, or nullopt when absent.
@@ -108,7 +113,7 @@ class PilafClient {
   sim::Task<bool> Put(std::span<const std::byte> key, std::span<const std::byte> value);
 
   const Stats& stats() const { return stats_; }
-  const sim::Histogram& get_latency() const { return get_latency_; }
+  const sim::Histogram& get_latency() const { return stats_.get_latency; }
 
  private:
   std::span<std::byte> read_buf() const { return read_span_.bytes(); }
@@ -121,7 +126,6 @@ class PilafClient {
   std::unique_ptr<rfp::RpcClient> put_stub_;
   std::vector<std::byte> scratch_;
   Stats stats_;
-  sim::Histogram get_latency_;
 };
 
 }  // namespace kv

@@ -60,12 +60,7 @@ Pool::Pool(rdma::Node& node, PoolOptions options)
 Pool::~Pool() {
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   const obs::Labels labels{{"node", node_name_}};
-  if (allocs_ > 0) reg.GetCounter("mem.alloc", labels)->Add(allocs_);
-  if (frees_ > 0) reg.GetCounter("mem.free", labels)->Add(frees_);
-  if (mr_reuses_ > 0) reg.GetCounter("mem.mr_reuse", labels)->Add(mr_reuses_);
-  if (registrations_ > 0) reg.GetCounter("mem.registrations", labels)->Add(registrations_);
-  reg.GetGauge("mem.registered_bytes", labels)->Set(static_cast<double>(registered_bytes_));
-  reg.GetGauge("mem.in_use_bytes", labels)->Set(static_cast<double>(in_use_bytes_));
+  obs::Flush(reg, labels, stats_);
   reg.GetGauge("mem.arenas", labels)->Set(static_cast<double>(arena_count()));
   if (!arenas_.empty()) {
     sim::Histogram* occ = reg.GetHistogram("mem.arena_occupancy_pct", labels);
@@ -89,17 +84,17 @@ int Pool::OrderFor(size_t rounded) const {
 
 void Pool::CheckRegistrationBudget(size_t bytes) const {
   if (options_.max_registered_bytes != 0 &&
-      registered_bytes_ + bytes > options_.max_registered_bytes) {
+      stats_.registered_bytes + bytes > options_.max_registered_bytes) {
     throw ExhaustedError(
         "mem::Pool exhausted on " + node_name_ + ": registering " + std::to_string(bytes) +
         " more bytes would exceed max_registered_bytes=" +
         std::to_string(options_.max_registered_bytes) + " (currently registered " +
-        std::to_string(registered_bytes_) + ")");
+        std::to_string(stats_.registered_bytes) + ")");
   }
 }
 
 Span Pool::Alloc(size_t size) {
-  const uint64_t registrations_before = registrations_;
+  const uint64_t registrations_before = stats_.registrations;
   const size_t min_chunk = options_.slab_classes > 0
                                ? options_.block_bytes >> options_.slab_classes
                                : options_.block_bytes;
@@ -112,9 +107,9 @@ Span Pool::Alloc(size_t size) {
   } else {
     span = HugeAlloc(size);
   }
-  ++allocs_;
-  if (registrations_ == registrations_before) {
-    ++mr_reuses_;
+  ++stats_.allocs;
+  if (stats_.registrations == registrations_before) {
+    ++stats_.mr_reuses;
   }
   return span;
 }
@@ -123,7 +118,7 @@ void Pool::Free(const Span& span) {
   if (!span.valid()) {
     return;
   }
-  ++frees_;
+  ++stats_.frees;
   auto arena_it = arena_by_mr_.find(span.mr);
   if (arena_it != arena_by_mr_.end()) {
     Arena& arena = *arenas_[arena_it->second];
@@ -139,13 +134,13 @@ void Pool::Free(const Span& span) {
     }
     const int order = order_it->second;
     arena.allocated_order.erase(order_it);
-    in_use_bytes_ -= options_.block_bytes << order;
+    stats_.in_use_bytes -= options_.block_bytes << order;
     BuddyFree(arena, span.offset, order);
     return;
   }
   auto huge_it = huge_sizes_.find(span.mr);
   if (huge_it != huge_sizes_.end()) {
-    in_use_bytes_ -= huge_it->second;
+    stats_.in_use_bytes -= huge_it->second;
     huge_free_[huge_it->second].push_back(span.mr);
     return;
   }
@@ -165,8 +160,8 @@ Pool::Arena& Pool::EnsureArenaWithOrder(int order) {
   arena->mr = node_.RegisterMemory(arena_bytes_, options_.access);
   arena->free_by_order.resize(static_cast<size_t>(max_order_) + 1);
   arena->free_by_order[static_cast<size_t>(max_order_)].insert(0);
-  registered_bytes_ += arena_bytes_;
-  ++registrations_;
+  stats_.registered_bytes += arena_bytes_;
+  ++stats_.registrations;
   arena_by_mr_[arena->mr] = static_cast<uint32_t>(arenas_.size());
   arenas_.push_back(std::move(arena));
   return *arenas_.back();
@@ -187,7 +182,7 @@ Span Pool::BuddyAlloc(int order, size_t size) {
                                                           (options_.block_bytes << have));
   }
   arena.allocated_order[offset] = order;
-  in_use_bytes_ += options_.block_bytes << order;
+  stats_.in_use_bytes += options_.block_bytes << order;
   return Span{arena.mr, offset, size};
 }
 
@@ -245,7 +240,7 @@ Span Pool::SlabAlloc(int class_index, size_t size) {
     partials.pop_back();
   }
   const size_t chunk_bytes = ChunkBytes(class_index);
-  in_use_bytes_ += chunk_bytes;
+  stats_.in_use_bytes += chunk_bytes;
   Arena& arena = *arenas_[slab->arena_index];
   return Span{arena.mr, slab->base_offset + chunk * chunk_bytes, size};
 }
@@ -262,7 +257,7 @@ void Pool::SlabFree(Arena& arena, Slab& slab, size_t offset) {
   }
   slab.free_chunks.push_back(static_cast<uint32_t>(rel / chunk_bytes));
   --slab.live;
-  in_use_bytes_ -= chunk_bytes;
+  stats_.in_use_bytes -= chunk_bytes;
   if (slab.live == 0 && partials.size() > static_cast<size_t>(options_.slab_magazine)) {
     // Magazine overflow: dissolve this fully-free slab back into the buddy.
     auto it = std::find(partials.begin(), partials.end(), &slab);
@@ -287,12 +282,12 @@ Span Pool::HugeAlloc(size_t size) {
   } else {
     CheckRegistrationBudget(reserved);
     mr = node_.RegisterMemory(reserved, options_.access);
-    registered_bytes_ += reserved;
-    ++registrations_;
+    stats_.registered_bytes += reserved;
+    ++stats_.registrations;
     ++huge_count_;
     huge_sizes_[mr] = reserved;
   }
-  in_use_bytes_ += reserved;
+  stats_.in_use_bytes += reserved;
   return Span{mr, 0, size};
 }
 

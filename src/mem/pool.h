@@ -27,6 +27,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/obs/catalog.h"
 #include "src/rdma/config.h"
 #include "src/rdma/memory.h"
 #include "src/rdma/node.h"
@@ -85,8 +86,20 @@ struct Span {
   std::span<std::byte> bytes() const { return mr->bytes().subspan(offset, size); }
 };
 
+// ~Pool flushes this catalog (src/obs/catalog.h) labeled {node}, plus the
+// derived mem.arenas gauge and mem.arena_{occupancy,fragmentation}_pct.
+#define MEM_POOL_STATS(X)                                                                          \
+  X(counter, allocs, "mem.alloc", self, "spans allocated")                                         \
+  X(counter, frees, "mem.free", self, "spans freed")                                               \
+  X(counter, mr_reuses, "mem.mr_reuse", self, "allocations served from registered memory")         \
+  X(counter, registrations, "mem.registrations", self, "MR registrations (arenas + huge regions)") \
+  X(gauge, registered_bytes, "mem.registered_bytes", always, "bytes registered at teardown")       \
+  X(gauge, in_use_bytes, "mem.in_use_bytes", always, "bytes allocated at teardown")
+
 class Pool {
  public:
+  struct Stats { OBS_STATS(Stats, MEM_POOL_STATS) };
+
   Pool(rdma::Node& node, PoolOptions options);
   ~Pool();  // flushes obs metrics; arenas stay registered (the node owns them)
 
@@ -107,15 +120,15 @@ class Pool {
 
   const PoolOptions& options() const { return options_; }
   size_t arena_bytes() const { return arena_bytes_; }
-  size_t registered_bytes() const { return registered_bytes_; }
-  size_t in_use_bytes() const { return in_use_bytes_; }
+  size_t registered_bytes() const { return stats_.registered_bytes; }
+  size_t in_use_bytes() const { return stats_.in_use_bytes; }
   size_t arena_count() const { return arenas_.size() + huge_count_; }
-  uint64_t allocs() const { return allocs_; }
-  uint64_t frees() const { return frees_; }
+  uint64_t allocs() const { return stats_.allocs; }
+  uint64_t frees() const { return stats_.frees; }
   // Allocations served entirely from already-registered memory.
-  uint64_t mr_reuses() const { return mr_reuses_; }
+  uint64_t mr_reuses() const { return stats_.mr_reuses; }
   // MR registrations this pool performed (arenas + huge regions).
-  uint64_t registrations() const { return registrations_; }
+  uint64_t registrations() const { return stats_.registrations; }
 
   // Per-arena utilization snapshot: occupancy = allocated fraction of the
   // arena; fragmentation = 1 - largest free extent / total free bytes
@@ -178,12 +191,7 @@ class Pool {
   std::unordered_map<const rdma::MemoryRegion*, size_t> huge_sizes_;
   size_t huge_count_ = 0;
 
-  size_t registered_bytes_ = 0;
-  size_t in_use_bytes_ = 0;
-  uint64_t allocs_ = 0;
-  uint64_t frees_ = 0;
-  uint64_t mr_reuses_ = 0;
-  uint64_t registrations_ = 0;
+  Stats stats_;
 };
 
 }  // namespace mem

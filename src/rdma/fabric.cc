@@ -24,17 +24,8 @@ Fabric::Fabric(sim::Engine& engine, FabricConfig config)
 }
 
 Fabric::~Fabric() {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   for (const auto& node : nodes_) {
-    const obs::Labels labels{{"node", node->name()}};
-    reg.GetGauge("rdma.mr.registered_bytes", labels)
-        ->Set(static_cast<double>(node->registered_bytes_));
-    if (node->registration_count_ > 0) {
-      reg.GetCounter("rdma.mr.registrations", labels)->Add(node->registration_count_);
-    }
-    if (node->deregistration_count_ > 0) {
-      reg.GetCounter("rdma.mr.deregistrations", labels)->Add(node->deregistration_count_);
-    }
+    obs::Flush(obs::MetricsRegistry::Default(), {{"node", node->name()}}, node->mr_stats_);
   }
 }
 
@@ -102,8 +93,8 @@ MemoryRegion* Fabric::RegisterMemory(Node& node, size_t size, uint32_t access) {
   node.regions_.push_back(std::make_unique<MemoryRegion>(&node, key, key, size, access));
   MemoryRegion* mr = node.regions_.back().get();
   regions_by_rkey_[key] = mr;
-  node.registered_bytes_ += size;
-  ++node.registration_count_;
+  node.mr_stats_.registered_bytes += size;
+  ++node.mr_stats_.registrations;
   if (checker_ != nullptr) {
     checker_->OnMrRegistered(key, &node, size, access);
   }
@@ -122,8 +113,8 @@ void Fabric::DeregisterMemory(MemoryRegion* mr) {
   Node* node = mr->node();
   for (auto it = node->regions_.begin(); it != node->regions_.end(); ++it) {
     if (it->get() == mr) {
-      node->registered_bytes_ -= (*it)->size();
-      ++node->deregistration_count_;
+      node->mr_stats_.registered_bytes -= (*it)->size();
+      ++node->mr_stats_.deregistrations;
       node->regions_.erase(it);
       break;
     }

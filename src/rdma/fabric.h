@@ -45,8 +45,7 @@ class Fabric {
  public:
   explicit Fabric(sim::Engine& engine, FabricConfig config = {});
 
-  // Flushes the per-node registered-memory census to obs gauges
-  // (rdma.mr.registered_bytes / .registrations / .deregistrations).
+  // Flushes each node's Node::MrStats (rdma.mr.*).
   ~Fabric();
 
   Fabric(const Fabric&) = delete;
@@ -99,9 +98,9 @@ class Fabric {
   // performed. Steady-state pooled operation — channel churn, reconnects via
   // RetireQp — must leave RegistrationCount flat: re-registration is the
   // control-plane cost the mem::Pool exists to avoid.
-  size_t RegisteredBytes(const Node& node) const { return node.registered_bytes_; }
-  uint64_t RegistrationCount(const Node& node) const { return node.registration_count_; }
-  uint64_t DeregistrationCount(const Node& node) const { return node.deregistration_count_; }
+  size_t RegisteredBytes(const Node& node) const { return node.mr_stats_.registered_bytes; }
+  uint64_t RegistrationCount(const Node& node) const { return node.mr_stats_.registrations; }
+  uint64_t DeregistrationCount(const Node& node) const { return node.mr_stats_.deregistrations; }
 
   // QP census, the connection-state side of the same scaling story: live
   // (non-retired) QPs whose local endpoint is `node`. The pooled connection

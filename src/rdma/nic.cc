@@ -31,15 +31,7 @@ Nic::Nic(sim::Engine& engine, const NicConfig& config, uint64_t seed, std::strin
 }
 
 Nic::~Nic() {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  const obs::Labels labels{{"node", node_name_}};
-  reg.GetCounter("rdma.nic.outbound_ops", labels)->Add(outbound_ops_);
-  reg.GetCounter("rdma.nic.inbound_ops", labels)->Add(inbound_ops_);
-  if (stalls_ > 0) {
-    reg.GetCounter("rdma.nic.stalls", labels)->Add(stalls_);
-  }
-  reg.GetHistogram("rdma.nic.issue_wait_ns", labels)->Merge(issue_wait_ns_);
-  reg.GetHistogram("rdma.nic.issue_queue_depth", labels)->Merge(issue_queue_depth_);
+  obs::Flush(obs::MetricsRegistry::Default(), {{"node", node_name_}}, stats_);
 }
 
 void Nic::TraceService(std::string_view name, bool inbound, sim::Time start) {
@@ -95,28 +87,28 @@ sim::Task<void> Nic::CompletionOverhead() {
 }
 
 sim::Task<void> Nic::IssueOneSided(Opcode op, uint32_t outbound_payload, bool batch_follower) {
-  ++outbound_ops_;
+  ++stats_.outbound_ops;
   // Service time (and any jitter draw) is fixed at post time, before
   // queueing, so observability never changes the simulated schedule.
   const sim::Time service = Jitter(OutboundServiceTime(op, outbound_payload, batch_follower));
-  issue_queue_depth_.Record(issue_pipeline_.queue_length());
+  stats_.issue_queue_depth.Record(issue_pipeline_.queue_length());
   const sim::Time posted = engine_.now();
   co_await issue_pipeline_.Acquire();
   const sim::Time granted = engine_.now();
-  issue_wait_ns_.Record(granted - posted);
+  stats_.issue_wait_ns.Record(granted - posted);
   co_await engine_.Sleep(service);
   issue_pipeline_.Release();
   TraceService(OpcodeName(op), false, granted);
 }
 
 sim::Task<void> Nic::IssueTwoSided(uint32_t payload) {
-  ++outbound_ops_;
+  ++stats_.outbound_ops;
   const sim::Time service = Jitter(OutboundServiceTime(Opcode::kSend, payload));
-  issue_queue_depth_.Record(issue_pipeline_.queue_length());
+  stats_.issue_queue_depth.Record(issue_pipeline_.queue_length());
   const sim::Time posted = engine_.now();
   co_await issue_pipeline_.Acquire();
   const sim::Time granted = engine_.now();
-  issue_wait_ns_.Record(granted - posted);
+  stats_.issue_wait_ns.Record(granted - posted);
   co_await engine_.Sleep(service);
   issue_pipeline_.Release();
   TraceService("SEND", false, granted);
@@ -128,7 +120,7 @@ sim::Task<void> Nic::AbsorbReadResponse(uint32_t payload) {
 }
 
 sim::Task<void> Nic::ServeInboundOneSided(uint32_t payload) {
-  ++inbound_ops_;
+  ++stats_.inbound_ops;
   const sim::Time service = Jitter(InboundServiceTime(payload));
   co_await inbound_engine_.Acquire();
   const sim::Time granted = engine_.now();
@@ -138,7 +130,7 @@ sim::Task<void> Nic::ServeInboundOneSided(uint32_t payload) {
 }
 
 sim::Task<void> Nic::ServeInboundTwoSided(uint32_t payload) {
-  ++inbound_ops_;
+  ++stats_.inbound_ops;
   const double serialization = static_cast<double>(payload) / config_.bandwidth_bytes_per_ns;
   const sim::Time service =
       Jitter(FromNs(std::max(config_.two_sided_rx_ns, serialization) * inbound_degrade_));
@@ -150,7 +142,7 @@ sim::Task<void> Nic::ServeInboundTwoSided(uint32_t payload) {
 }
 
 sim::Task<void> Nic::StallOutbound(sim::Time window) {
-  ++stalls_;
+  ++stats_.stalls;
   co_await issue_pipeline_.Acquire();
   const sim::Time start = engine_.now();
   co_await engine_.Sleep(window);
@@ -159,7 +151,7 @@ sim::Task<void> Nic::StallOutbound(sim::Time window) {
 }
 
 sim::Task<void> Nic::StallInbound(sim::Time window) {
-  ++stalls_;
+  ++stats_.stalls;
   co_await inbound_engine_.Acquire();
   const sim::Time start = engine_.now();
   co_await engine_.Sleep(window);

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <string>
 
+#include "src/obs/catalog.h"
 #include "src/rdma/config.h"
 #include "src/rdma/types.h"
 #include "src/sim/engine.h"
@@ -34,15 +35,23 @@
 
 namespace rdma {
 
+// ~Nic flushes this catalog (src/obs/catalog.h) labeled {node}.
+#define RDMA_NIC_STATS(X)                                                                       \
+  X(counter, outbound_ops, "rdma.nic.outbound_ops", always, "one-sided and SEND ops issued")    \
+  X(counter, inbound_ops, "rdma.nic.inbound_ops", always, "in-bound ops served")                \
+  X(counter, stalls, "rdma.nic.stalls", self, "injected station stalls")                        \
+  X(histogram, issue_wait_ns, "rdma.nic.issue_wait_ns", always, "issue-pipeline queueing (ns)") \
+  X(histogram, issue_queue_depth, "rdma.nic.issue_queue_depth", always, "queue depth at post")
+
 class Nic {
  public:
+  struct Stats { OBS_STATS(Stats, RDMA_NIC_STATS) };
+
   // `node_name` labels this NIC's metrics in the observability registry
   // (see src/obs/metrics.h) and its trace tracks.
   Nic(sim::Engine& engine, const NicConfig& config, uint64_t seed = 0,
       std::string node_name = "");
 
-  // Flushes per-NIC counters and queueing histograms into the default
-  // metrics registry, labeled {node: <node_name>}.
   ~Nic();
 
   Nic(const Nic&) = delete;
@@ -112,15 +121,15 @@ class Nic {
 
   // ---- Introspection -------------------------------------------------------
 
-  uint64_t outbound_ops() const { return outbound_ops_; }
-  uint64_t inbound_ops() const { return inbound_ops_; }
+  uint64_t outbound_ops() const { return stats_.outbound_ops; }
+  uint64_t inbound_ops() const { return stats_.inbound_ops; }
   const std::string& node_name() const { return node_name_; }
 
   // Time outbound ops spent queued for the issue pipeline, and the pipeline
   // queue depth sampled at each post (paper Section 2.2's out-bound
   // bottleneck, now directly observable).
-  const sim::Histogram& issue_wait_ns() const { return issue_wait_ns_; }
-  const sim::Histogram& issue_queue_depth() const { return issue_queue_depth_; }
+  const sim::Histogram& issue_wait_ns() const { return stats_.issue_wait_ns; }
+  const sim::Histogram& issue_queue_depth() const { return stats_.issue_queue_depth; }
   double IssueUtilization(sim::Time from, sim::Time to) const {
     return issue_pipeline_.Utilization(from, to);
   }
@@ -161,11 +170,7 @@ class Nic {
   int active_qps_ = 0;
   double outbound_degrade_ = 1.0;
   double inbound_degrade_ = 1.0;
-  uint64_t stalls_ = 0;
-  uint64_t outbound_ops_ = 0;
-  uint64_t inbound_ops_ = 0;
-  sim::Histogram issue_wait_ns_;
-  sim::Histogram issue_queue_depth_;
+  Stats stats_;
 };
 
 }  // namespace rdma

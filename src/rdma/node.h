@@ -8,6 +8,7 @@
 #include <memory>
 #include <string>
 
+#include "src/obs/catalog.h"
 #include "src/rdma/config.h"
 #include "src/rdma/memory.h"
 #include "src/rdma/nic.h"
@@ -18,8 +19,18 @@ namespace rdma {
 
 class Fabric;
 
+// Registered-memory census per node (src/obs/catalog.h), maintained by
+// Fabric::{Register,Deregister}Memory, read back through
+// Fabric::RegisteredBytes/RegistrationCount and flushed by ~Fabric ({node}).
+#define RDMA_MR_STATS(X)                                                                         \
+  X(gauge, registered_bytes, "rdma.mr.registered_bytes", always, "bytes registered at teardown") \
+  X(counter, registrations, "rdma.mr.registrations", self, "MRs registered")                     \
+  X(counter, deregistrations, "rdma.mr.deregistrations", self, "MRs deregistered")
+
 class Node {
  public:
+  struct MrStats { OBS_STATS(MrStats, RDMA_MR_STATS) };
+
   Node(sim::Engine& engine, Fabric* fabric, uint32_t id, std::string name,
        const NicConfig& config, uint64_t seed)
       : fabric_(fabric), id_(id), name_(std::move(name)), nic_(engine, config, seed, name_),
@@ -72,11 +83,7 @@ class Node {
   int next_worker_core_;
   std::deque<std::unique_ptr<MemoryRegion>> regions_;
   std::shared_ptr<void> pool_handle_;
-  // Registered-memory census, maintained by Fabric::{Register,Deregister}Memory
-  // and read back through Fabric::RegisteredBytes/RegistrationCount.
-  size_t registered_bytes_ = 0;
-  uint64_t registration_count_ = 0;
-  uint64_t deregistration_count_ = 0;
+  MrStats mr_stats_;
 };
 
 }  // namespace rdma

@@ -41,20 +41,7 @@ FailoverCoordinator::FailoverCoordinator(kv::JakiroServer& primary, kv::JakiroSe
 }
 
 FailoverCoordinator::~FailoverCoordinator() {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  const obs::Labels labels{{"node", backup_.node().name()}};
-  if (promotions_ > 0) {
-    reg.GetCounter("repl.promotions", labels)->Add(promotions_);
-  }
-  if (promotions_refused_ > 0) {
-    reg.GetCounter("repl.promotions_refused", labels)->Add(promotions_refused_);
-  }
-  if (probes_ > 0) {
-    reg.GetCounter("repl.probes", labels)->Add(probes_);
-  }
-  if (lease_expiries_ > 0) {
-    reg.GetCounter("repl.lease_expiries", labels)->Add(lease_expiries_);
-  }
+  obs::Flush(obs::MetricsRegistry::Default(), {{"node", backup_.node().name()}}, stats_);
 }
 
 void FailoverCoordinator::Start() {
@@ -85,7 +72,7 @@ sim::Task<void> FailoverCoordinator::ProbeLoop() {
       promoted_ = true;
     }
     if (!promoted_) {
-      ++probes_;
+      ++stats_.probes;
       if (co_await ProbeOnce()) {
         lease_deadline_ = engine_.now() + options_.lease_interval_ns;
         // A live primary with no attached backup (fresh start, aborted
@@ -97,7 +84,7 @@ sim::Task<void> FailoverCoordinator::ProbeLoop() {
       } else {
         ++probe_failures_;
         if (engine_.now() >= lease_deadline_) {
-          ++lease_expiries_;
+          ++stats_.lease_expiries;
           Promote();
         }
       }
@@ -126,7 +113,7 @@ void FailoverCoordinator::Promote() {
   if (!sink_.bootstrapped()) {
     // A half-copied store must not serve. Stay unavailable until the old
     // primary restarts, resumes as leader, and re-runs the bootstrap.
-    ++promotions_refused_;
+    ++stats_.promotions_refused;
     return;
   }
   const uint32_t old_epoch = primary_.rpc().repl_epoch();
@@ -149,7 +136,7 @@ void FailoverCoordinator::Promote() {
   replicator_.Detach();
   promoted_ = true;
   promoted_at_ = engine_.now();
-  ++promotions_;
+  ++stats_.promotions;
   if (sim::TraceSink* trace = engine_.trace_sink()) {
     trace->Instant("repl", "promoted", reinterpret_cast<uint64_t>(this), engine_.now());
   }

@@ -28,14 +28,24 @@
 #include <memory>
 
 #include "src/kv/jakiro.h"
+#include "src/obs/catalog.h"
 #include "src/repl/options.h"
 #include "src/repl/replicator.h"
 #include "src/rfp/rpc.h"
 
 namespace repl {
 
+// Stats catalog (src/obs/catalog.h); every entry registers only when it fired.
+#define REPL_FAILOVER_STATS(X)                                                          \
+  X(counter, promotions, "repl.promotions", self, "backup promotions")                  \
+  X(counter, promotions_refused, "repl.promotions_refused", self, "promotions refused") \
+  X(counter, probes, "repl.probes", self, "health probes sent")                         \
+  X(counter, lease_expiries, "repl.lease_expiries", self, "primary leases that expired")
+
 class FailoverCoordinator {
  public:
+  struct Stats { OBS_STATS(Stats, REPL_FAILOVER_STATS) };
+
   // Opens the probe channel (backup node -> primary thread 0); the primary
   // must not have started yet. `group` keys the checker's per-group epoch
   // history (the cluster passes itself). `backup_leader_hint` is the
@@ -44,8 +54,7 @@ class FailoverCoordinator {
                       Replicator& replicator, ReplSink& sink, const void* group,
                       ReplOptions options, uint16_t backup_leader_hint = 1);
 
-  // Flushes repl.promotions / repl.promotions_refused / repl.probes /
-  // repl.lease_expiries, labeled {node} by the backup.
+  // Flushes Stats labeled {node} by the backup.
   ~FailoverCoordinator();
 
   FailoverCoordinator(const FailoverCoordinator&) = delete;
@@ -68,11 +77,11 @@ class FailoverCoordinator {
 
   bool promoted() const { return promoted_; }
   sim::Time promoted_at() const { return promoted_at_; }
-  uint64_t promotions() const { return promotions_; }
-  uint64_t promotions_refused() const { return promotions_refused_; }
-  uint64_t probes() const { return probes_; }
+  uint64_t promotions() const { return stats_.promotions; }
+  uint64_t promotions_refused() const { return stats_.promotions_refused; }
+  uint64_t probes() const { return stats_.probes; }
   uint64_t probe_failures() const { return probe_failures_; }
-  uint64_t lease_expiries() const { return lease_expiries_; }
+  uint64_t lease_expiries() const { return stats_.lease_expiries; }
 
  private:
   sim::Task<void> ProbeLoop();
@@ -96,11 +105,8 @@ class FailoverCoordinator {
   bool unsafe_skip_demotion_ = false;
   bool resurrection_reported_ = false;
   uint32_t pre_promotion_epoch_ = 0;
-  uint64_t promotions_ = 0;
-  uint64_t promotions_refused_ = 0;
-  uint64_t probes_ = 0;
+  Stats stats_;
   uint64_t probe_failures_ = 0;
-  uint64_t lease_expiries_ = 0;
 };
 
 }  // namespace repl

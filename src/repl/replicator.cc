@@ -57,20 +57,7 @@ ReplSink::ReplSink(kv::JakiroServer& server, ReplOptions options)
 }
 
 ReplSink::~ReplSink() {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  const obs::Labels labels{{"node", server_.node().name()}};
-  if (applied_ > 0) {
-    reg.GetCounter("repl.applied", labels)->Add(applied_);
-  }
-  if (replayed_ > 0) {
-    reg.GetCounter("repl.replayed", labels)->Add(replayed_);
-  }
-  if (snapshot_items_ > 0) {
-    reg.GetCounter("repl.snapshot_items", labels)->Add(snapshot_items_);
-  }
-  if (rejected_appends_ > 0) {
-    reg.GetCounter("repl.rejected_appends", labels)->Add(rejected_appends_);
-  }
+  obs::Flush(obs::MetricsRegistry::Default(), {{"node", server_.node().name()}}, stats_);
 }
 
 void ReplSink::RegisterHandlers() {
@@ -83,7 +70,7 @@ void ReplSink::RegisterHandlers() {
     // resurrected old primary shipping into a promoted backup is rejected
     // here, which detaches its shipper.
     if (server_.rpc().repl_serving()) {
-      ++rejected_appends_;
+      ++stats_.rejected_appends;
       resp[0] = std::byte{0};
       return {1, server_.config().put_process_ns};
     }
@@ -127,7 +114,7 @@ void ReplSink::RegisterHandlers() {
       }
       body = body.subspan(EncodedSize(*record));
       ApplyRecord(*record);
-      ++snapshot_items_;
+      ++stats_.snapshot_items;
     }
     if ((flags & kSnapEnd) != 0) {
       bootstrapped_ = true;
@@ -146,7 +133,7 @@ void ReplSink::ApplyRecord(const Record& record) {
   } else {
     table.Put(record.key, record.value);
   }
-  ++applied_;
+  ++stats_.applied;
 }
 
 sim::Task<void> ReplSink::ApplyLoop() {
@@ -177,7 +164,7 @@ uint64_t ReplSink::DrainTail() {
     queue_.pop_front();
     ++drained;
   }
-  replayed_ += drained;
+  stats_.replayed += drained;
   return drained;
 }
 
@@ -199,23 +186,7 @@ Replicator::Replicator(kv::JakiroServer& primary, kv::JakiroServer& backup, Repl
 }
 
 Replicator::~Replicator() {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  const obs::Labels labels{{"node", primary_.node().name()}};
-  if (shipped_ > 0) {
-    reg.GetCounter("repl.shipped", labels)->Add(shipped_);
-  }
-  if (ship_failures_ > 0) {
-    reg.GetCounter("repl.ship_failures", labels)->Add(ship_failures_);
-  }
-  if (attach_attempts_ > 0) {
-    reg.GetCounter("repl.attach_attempts", labels)->Add(attach_attempts_);
-  }
-  if (sync_waits_ > 0) {
-    reg.GetCounter("repl.sync_waits", labels)->Add(sync_waits_);
-  }
-  if (lag_.count() > 0) {
-    reg.GetHistogram("repl.lag", labels)->Merge(lag_);
-  }
+  obs::Flush(obs::MetricsRegistry::Default(), {{"node", primary_.node().name()}}, stats_);
 }
 
 void Replicator::Start() {
@@ -256,7 +227,7 @@ sim::Task<void> Replicator::OnMutation(uint16_t rpc_id, std::span<const std::byt
     co_return;  // no backup: serve unreplicated
   }
   const uint64_t lsn = log_.Append(rpc_id, key, value);
-  lag_.Record(static_cast<int64_t>(log_.lag()));
+  stats_.lag.Record(static_cast<int64_t>(log_.lag()));
   work_.NotifyAll();
   if (state_ != State::kAttached) {
     // Mid-snapshot appends ship after the sweep; the sync guarantee starts
@@ -265,7 +236,7 @@ sim::Task<void> Replicator::OnMutation(uint16_t rpc_id, std::span<const std::byt
     co_return;
   }
   if (options_.ack_mode == ReplOptions::AckMode::kSync) {
-    ++sync_waits_;
+    ++stats_.sync_waits;
     while (log_.acked_lsn() < lsn && state_ == State::kAttached && !stop_) {
       co_await acked_.Wait();
     }
@@ -304,10 +275,10 @@ sim::Task<void> Replicator::ShipLoop() {
           continue;
         }
         log_.OnAcked(lsn);
-        ++shipped_;
+        ++stats_.shipped;
         acked_.NotifyAll();
       } catch (const std::exception&) {
-        ++ship_failures_;
+        ++stats_.ship_failures;
         Detach();
       }
       continue;
@@ -334,11 +305,11 @@ sim::Task<void> Replicator::ShipLoop() {
           break;
         }
         log_.OnAcked(lsn);
-        ++shipped_;
+        ++stats_.shipped;
         acked_.NotifyAll();
       }
     } catch (const std::exception&) {
-      ++ship_failures_;
+      ++stats_.ship_failures;
       Detach();
     }
   }
@@ -362,7 +333,7 @@ sim::Task<void> Replicator::AttachBackup() {
     co_return;
   }
   state_ = State::kSnapshotting;
-  ++attach_attempts_;
+  ++stats_.attach_attempts;
   if (sim::TraceSink* trace = engine_.trace_sink()) {
     trace->Instant("repl", "attach_begin", reinterpret_cast<uint64_t>(this), engine_.now());
   }
@@ -420,7 +391,7 @@ sim::Task<void> Replicator::AttachBackup() {
   } catch (const std::length_error&) {
     throw;  // configuration error, not a transport fault
   } catch (const std::exception&) {
-    ++ship_failures_;
+    ++stats_.ship_failures;
     state_ = State::kDetached;
     co_return;
   }

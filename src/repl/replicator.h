@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "src/kv/jakiro.h"
+#include "src/obs/catalog.h"
 #include "src/repl/log.h"
 #include "src/repl/options.h"
 #include "src/rfp/rpc.h"
@@ -70,14 +71,28 @@ constexpr uint8_t kSnapEnd = 2;
 // since that is the node whose death the coordinator watches for.
 void RegisterProbeHandler(rfp::RpcServer& rpc);
 
+// Stats catalogs (src/obs/catalog.h); every entry registers only when it fired.
+#define REPL_SINK_STATS(X)                                                              \
+  X(counter, applied, "repl.applied", self, "records applied by the apply actor")       \
+  X(counter, replayed, "repl.replayed", self, "records replayed at promotion")          \
+  X(counter, snapshot_items, "repl.snapshot_items", self, "snapshot entries installed") \
+  X(counter, rejected_appends, "repl.rejected_appends", self, "appends fenced off while serving")
+#define REPL_REPLICATOR_STATS(X)                                                         \
+  X(counter, shipped, "repl.shipped", self, "records acked by the backup")               \
+  X(counter, ship_failures, "repl.ship_failures", self, "failed ship or snapshot calls") \
+  X(counter, attach_attempts, "repl.attach_attempts", self, "AttachBackup sweeps begun") \
+  X(counter, sync_waits, "repl.sync_waits", self, "sync-mode handler suspensions")       \
+  X(histogram, lag, "repl.lag", self, "log lag sampled at every append")
+
 class ReplSink {
  public:
+  struct Stats { OBS_STATS(Stats, REPL_SINK_STATS) };
+
   // Registers the stream handlers on `server`'s RPC server; must run before
   // the server starts.
   ReplSink(kv::JakiroServer& server, ReplOptions options);
 
-  // Flushes repl.applied / repl.replayed / repl.snapshot_items /
-  // repl.rejected_appends, labeled {node}.
+  // Flushes Stats labeled {node}.
   ~ReplSink();
 
   ReplSink(const ReplSink&) = delete;
@@ -97,10 +112,10 @@ class ReplSink {
   // promotable. An aborted re-bootstrap (begin marker) clears it again.
   bool bootstrapped() const { return bootstrapped_; }
 
-  uint64_t applied() const { return applied_; }
-  uint64_t replayed() const { return replayed_; }
-  uint64_t snapshot_items() const { return snapshot_items_; }
-  uint64_t rejected_appends() const { return rejected_appends_; }
+  uint64_t applied() const { return stats_.applied; }
+  uint64_t replayed() const { return stats_.replayed; }
+  uint64_t snapshot_items() const { return stats_.snapshot_items; }
+  uint64_t rejected_appends() const { return stats_.rejected_appends; }
   size_t queued() const { return queue_.size(); }
   uint64_t last_lsn() const { return last_lsn_; }
 
@@ -115,24 +130,21 @@ class ReplSink {
   bool bootstrapped_ = false;
   bool apply_stop_ = false;
   bool apply_running_ = false;
-  uint64_t applied_ = 0;
-  uint64_t replayed_ = 0;
-  uint64_t snapshot_items_ = 0;
-  uint64_t rejected_appends_ = 0;
+  Stats stats_;
   uint64_t last_lsn_ = 0;
 };
 
 class Replicator {
  public:
+  struct Stats { OBS_STATS(Stats, REPL_REPLICATOR_STATS) };
+
   enum class State : uint8_t { kDetached, kSnapshotting, kAttached };
 
   // Opens the replication channel (primary node -> backup thread 0). Both
   // servers must not have started yet. Validates `options`.
   Replicator(kv::JakiroServer& primary, kv::JakiroServer& backup, ReplOptions options);
 
-  // Flushes repl.shipped / repl.ship_failures / repl.attach_attempts /
-  // repl.sync_waits counters and the repl.lag histogram, labeled {node} by
-  // the primary.
+  // Flushes Stats labeled {node} by the primary.
   ~Replicator();
 
   Replicator(const Replicator&) = delete;
@@ -158,10 +170,10 @@ class Replicator {
   const ReplLog& log() const { return log_; }
   const ReplOptions& options() const { return options_; }
 
-  uint64_t shipped() const { return shipped_; }
-  uint64_t ship_failures() const { return ship_failures_; }
-  uint64_t attach_attempts() const { return attach_attempts_; }
-  const sim::Histogram& lag_histogram() const { return lag_; }
+  uint64_t shipped() const { return stats_.shipped; }
+  uint64_t ship_failures() const { return stats_.ship_failures; }
+  uint64_t attach_attempts() const { return stats_.attach_attempts; }
+  const sim::Histogram& lag_histogram() const { return stats_.lag; }
 
  private:
   sim::Task<void> OnMutation(uint16_t rpc_id, std::span<const std::byte> key,
@@ -183,11 +195,7 @@ class Replicator {
   sim::Notifier acked_;  // wakes hook waiters (acks, detach)
   State state_ = State::kDetached;
   bool stop_ = false;
-  sim::Histogram lag_;  // log lag sampled at every append
-  uint64_t shipped_ = 0;
-  uint64_t ship_failures_ = 0;
-  uint64_t attach_attempts_ = 0;
-  uint64_t sync_waits_ = 0;
+  Stats stats_;
 };
 
 }  // namespace repl

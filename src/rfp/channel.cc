@@ -94,86 +94,8 @@ Channel::~Channel() {
                   reply_mode_since_, engine_.now());
     }
   }
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  const obs::Labels labels{{"client", client_node()->name()},
-                           {"server", server_node()->name()}};
-  reg.GetCounter("rfp.channel.calls", labels)->Add(stats_.calls);
-  reg.GetCounter("rfp.channel.request_writes", labels)->Add(stats_.request_writes);
-  reg.GetCounter("rfp.channel.fetch_reads", labels)->Add(stats_.fetch_reads);
-  reg.GetCounter("rfp.channel.failed_fetches", labels)->Add(stats_.failed_fetches);
-  reg.GetCounter("rfp.channel.extra_fetches", labels)->Add(stats_.extra_fetches);
-  reg.GetCounter("rfp.channel.reply_pushes", labels)->Add(stats_.reply_pushes);
-  reg.GetCounter("rfp.channel.switches_to_reply", labels)->Add(stats_.switches_to_reply);
-  reg.GetCounter("rfp.channel.switches_to_fetch", labels)->Add(stats_.switches_to_fetch);
-  reg.GetHistogram("rfp.channel.retries_per_call", labels)->Merge(stats_.retries_per_call);
-  // Recovery counters register only when something actually happened, so
-  // fault-free runs keep their metric catalog unchanged.
-  if (stats_.reconnects > 0) {
-    reg.GetCounter("rfp.channel.reconnects", labels)->Add(stats_.reconnects);
-  }
-  if (stats_.reissues > 0) {
-    reg.GetCounter("rfp.channel.reissues", labels)->Add(stats_.reissues);
-  }
-  if (stats_.corrupt_fetches > 0) {
-    reg.GetCounter("rfp.channel.corrupt_fetches", labels)->Add(stats_.corrupt_fetches);
-  }
-  if (stats_.fetch_timeouts > 0) {
-    reg.GetCounter("rfp.channel.fetch_timeouts", labels)->Add(stats_.fetch_timeouts);
-  }
-  if (stats_.recovery_request_writes > 0) {
-    reg.GetCounter("rfp.channel.recovery_request_writes", labels)
-        ->Add(stats_.recovery_request_writes);
-  }
-  if (stats_.recovery_fetch_reads > 0) {
-    reg.GetCounter("rfp.channel.recovery_fetch_reads", labels)->Add(stats_.recovery_fetch_reads);
-  }
-  // Overload counters likewise register only when overload protection ever
-  // fired (see docs/overload.md).
-  if (stats_.busy_responses > 0) {
-    reg.GetCounter("rfp.channel.busy_responses", labels)->Add(stats_.busy_responses);
-  }
-  if (stats_.shed_admission > 0) {
-    reg.GetCounter("rfp.channel.shed_admission", labels)->Add(stats_.shed_admission);
-  }
-  if (stats_.shed_deadline > 0) {
-    reg.GetCounter("rfp.channel.shed_deadline", labels)->Add(stats_.shed_deadline);
-  }
-  if (stats_.breaker_opens > 0) {
-    reg.GetCounter("rfp.channel.breaker_opens", labels)->Add(stats_.breaker_opens);
-  }
-  // Replication counters register only when a redirect ever happened.
-  if (stats_.redirects > 0) {
-    reg.GetCounter("rfp.channel.redirects", labels)->Add(stats_.redirects);
-  }
-  if (stats_.shed_redirect > 0) {
-    reg.GetCounter("rfp.channel.shed_redirect", labels)->Add(stats_.shed_redirect);
-  }
-  // Coalesced-fetch counters register only when spanning READs happened.
-  if (stats_.coalesced_fetches > 0) {
-    reg.GetCounter("rfp.channel.coalesced_fetches", labels)->Add(stats_.coalesced_fetches);
-    reg.GetCounter("rfp.channel.coalesced_slots", labels)->Add(stats_.coalesced_slots);
-  }
-  // Coalesced-write counters register only when a request WRITE spanned slots.
-  if (stats_.coalesced_writes > 0) {
-    reg.GetCounter("rfp.channel.coalesced_writes", labels)->Add(stats_.coalesced_writes);
-    reg.GetCounter("rfp.channel.coalesced_write_slots", labels)
-        ->Add(stats_.coalesced_write_slots);
-  }
-  // Zero-copy counters register only when indirect responses were sent.
-  if (stats_.zero_copy_sends > 0) {
-    reg.GetCounter("rfp.channel.zero_copy_sends", labels)->Add(stats_.zero_copy_sends);
-    reg.GetCounter("rfp.channel.zero_copy_fetches", labels)->Add(stats_.zero_copy_fetches);
-    reg.GetCounter("rfp.channel.zero_copy_bytes", labels)->Add(stats_.zero_copy_bytes);
-    reg.GetCounter("rfp.channel.zero_copy_fallbacks", labels)->Add(stats_.zero_copy_fallbacks);
-  }
-  // Pipelining counters register only when the channel ever batched, so
-  // window=1 runs keep their metric catalog unchanged.
-  if (stats_.doorbell_batches > 0) {
-    reg.GetCounter("rfp.channel.doorbell_batches", labels)->Add(stats_.doorbell_batches);
-    reg.GetCounter("rfp.channel.batched_ops", labels)->Add(stats_.batched_ops);
-    reg.GetHistogram("rfp.channel.batch_occupancy", labels)->Merge(stats_.batch_occupancy);
-    reg.GetHistogram("rfp.channel.submit_window", labels)->Merge(stats_.submit_window);
-  }
+  obs::Flush(obs::MetricsRegistry::Default(),
+             {{"client", client_node()->name()}, {"server", server_node()->name()}}, stats_);
   // Release the channel's fabric resources: the endpoints stop resolving, so
   // any straggler holding a stale pointer fails loudly (and, under checking,
   // flags qp.post_on_retired) instead of scribbling. The ring spans return
@@ -695,7 +617,9 @@ sim::Task<Channel::CallHandle> Channel::SubmitCall(std::span<const std::byte> ms
   }
   // An open breaker delays the submit (idle, not client CPU) until its open
   // interval elapses; this call then becomes the half-open probe.
-  co_await MaybeAwaitBreaker();
+  if (options_.breaker_enabled && breaker_state_ == BreakerState::kOpen) {
+    co_await AwaitOpenBreaker();
+  }
   int slot = -1;
   for (int s = 0; s < options_.window; ++s) {
     if (cslot(s).state == ClientSlot::State::kFree) {
@@ -1510,10 +1434,7 @@ void Channel::OpenBreaker() {
   TraceBreaker("breaker_open");
 }
 
-sim::Task<void> Channel::MaybeAwaitBreaker() {
-  if (!options_.breaker_enabled || breaker_state_ != BreakerState::kOpen) {
-    co_return;
-  }
+sim::Task<void> Channel::AwaitOpenBreaker() {
   if (breaker_open_until_ > engine_.now()) {
     co_await engine_.Sleep(breaker_open_until_ - engine_.now());
   }

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "src/mem/pool.h"
+#include "src/obs/catalog.h"
 #include "src/rdma/fabric.h"
 #include "src/rdma/memory.h"
 #include "src/rdma/qp.h"
@@ -99,60 +100,75 @@ struct ZeroCopyRef {
   bool valid() const { return rkey != 0; }
 };
 
+// The channel's stats catalog (src/obs/catalog.h). Recovery, overload and
+// redirect counters register only when they fired, and each optional family
+// only with its leading counter, so runs that never use a feature keep their
+// metric list.
+#define RFP_CHANNEL_STATS(X)                                                                       \
+  X(counter, calls, "rfp.channel.calls", always, "calls completed")                                \
+  X(counter, request_writes, "rfp.channel.request_writes", always, "client_send RDMA WRITEs")      \
+  X(counter, fetch_reads, "rfp.channel.fetch_reads", always, "all client_recv RDMA READs")         \
+  X(counter, failed_fetches, "rfp.channel.failed_fetches", always, "READs missing the response")   \
+  X(counter, extra_fetches, "rfp.channel.extra_fetches", always, "2nd READs: size > fetch size")   \
+  X(counter, reply_pushes, "rfp.channel.reply_pushes", always, "server out-bound reply WRITEs")    \
+  X(counter, switches_to_reply, "rfp.channel.switches_to_reply", always, "fetch->reply switches")  \
+  X(counter, switches_to_fetch, "rfp.channel.switches_to_fetch", always, "reply->fetch switches")  \
+  /* Fault-recovery events (all zero unless faults were injected or the */                         \
+  /* fault-tolerance options are enabled; see docs/fault_injection.md). */                         \
+  X(counter, reconnects, "rfp.channel.reconnects", self, "RC pair replaced after a QP error")      \
+  X(counter, reissues, "rfp.channel.reissues", self, "requests re-sent (timeout, corrupt, busy)")  \
+  X(counter, corrupt_fetches, "rfp.channel.corrupt_fetches", self, "bad-checksum responses seen")  \
+  X(counter, fetch_timeouts, "rfp.channel.fetch_timeouts", self, "calls whose fetch timed out")    \
+  /* Recovery traffic, accounted separately from the primary-path counters */                      \
+  /* above so RoundTripsPerCall keeps the paper's Table-3 semantics (it */                         \
+  /* used to fold re-issued WRITEs and their abandoned fetch READs into the */                     \
+  /* numerator, inflating the metric whenever fault tolerance was active). */                      \
+  /* Invariant: request_writes counts exactly one WRITE per issued call. */                        \
+  X(counter, recovery_request_writes, "rfp.channel.recovery_request_writes", self,                 \
+    "re-issued request WRITEs")                                                                    \
+  X(counter, recovery_fetch_reads, "rfp.channel.recovery_fetch_reads", self,                       \
+    "READs of attempts abandoned by a re-issue")                                                   \
+  /* Overload protection (docs/overload.md). */                                                    \
+  X(counter, busy_responses, "rfp.channel.busy_responses", self, "BUSY notices the client saw")    \
+  X(counter, shed_admission, "rfp.channel.shed_admission", self, "server admission sheds")         \
+  X(counter, shed_deadline, "rfp.channel.shed_deadline", self, "server sheds of expired requests") \
+  X(counter, breaker_opens, "rfp.channel.breaker_opens", self, "circuit-breaker trips to open")    \
+  /* Replication / failover (docs/replication.md). */                                              \
+  X(counter, redirects, "rfp.channel.redirects", self, "REDIRECT responses the client saw")        \
+  X(counter, shed_redirect, "rfp.channel.shed_redirect", self, "server REDIRECT rejections")       \
+  /* Pipelining (docs/pipelining.md; all zero on window=1 channels). */                            \
+  X(counter, doorbell_batches, "rfp.channel.doorbell_batches", self, "doorbell batches posted")    \
+  X(counter, batched_ops, "rfp.channel.batched_ops", when(doorbell_batches), "follower WRs")       \
+  /* Coalesced fetching (docs/multicore.md; zero unless coalesced_fetch). */                       \
+  X(counter, coalesced_fetches, "rfp.channel.coalesced_fetches", self, "spanning READs by sweeps") \
+  X(counter, coalesced_slots, "rfp.channel.coalesced_slots", when(coalesced_fetches),              \
+    "pending slots those spans covered")                                                           \
+  /* Coalesced request posting (docs/pipelining.md; zero on window=1 */                            \
+  /* channels and whenever the size rule keeps every slot its own WRITE). */                       \
+  X(counter, coalesced_writes, "rfp.channel.coalesced_writes", self, "WRITEs spanning >= 2 slots") \
+  X(counter, coalesced_write_slots, "rfp.channel.coalesced_write_slots", when(coalesced_writes),   \
+    "staged slots those WRITEs carried")                                                           \
+  /* Zero-copy GET (docs/memory.md; zero unless ServerSendZeroCopy is used). */                    \
+  X(counter, zero_copy_sends, "rfp.channel.zero_copy_sends", self, "indirect descriptors sent")    \
+  X(counter, zero_copy_fetches, "rfp.channel.zero_copy_fetches", when(zero_copy_sends),            \
+    "client entry READs issued")                                                                   \
+  X(counter, zero_copy_bytes, "rfp.channel.zero_copy_bytes", when(zero_copy_sends),                \
+    "value bytes moved without a server copy")                                                     \
+  X(counter, zero_copy_fallbacks, "rfp.channel.zero_copy_fallbacks", when(zero_copy_sends),        \
+    "sends copied because the client was in server-reply mode")                                    \
+  /* Failed-retry count per completed remote-fetch call (Table 3). */                              \
+  X(histogram, retries_per_call, "rfp.channel.retries_per_call", always, "failed READs per call")  \
+  /* Outstanding calls (posted + staged) sampled at each SubmitCall, and */                        \
+  /* WRs per doorbell batch (window=1 channels record neither). */                                 \
+  X(histogram, submit_window, "rfp.channel.submit_window", when(doorbell_batches),                 \
+    "outstanding calls at each SubmitCall")                                                        \
+  X(histogram, batch_occupancy, "rfp.channel.batch_occupancy", when(doorbell_batches),             \
+    "WRs per doorbell batch")
+
 class Channel {
  public:
   struct Stats {
-    uint64_t calls = 0;
-    uint64_t request_writes = 0;   // client_send RDMA WRITEs
-    uint64_t fetch_reads = 0;      // all client_recv RDMA READs
-    uint64_t failed_fetches = 0;   // READs that found no matching response
-    uint64_t extra_fetches = 0;    // second READs because size > fetch size
-    uint64_t reply_pushes = 0;     // server out-bound reply WRITEs
-    uint64_t switches_to_reply = 0;
-    uint64_t switches_to_fetch = 0;
-    // Fault-recovery events (all zero unless faults were injected or the
-    // fault-tolerance options are enabled; see docs/fault_injection.md).
-    uint64_t reconnects = 0;       // RC pair replaced after a QP error
-    uint64_t reissues = 0;         // request re-sent (timeout, corruption, busy)
-    uint64_t corrupt_fetches = 0;  // checksum-mismatching responses observed
-    uint64_t fetch_timeouts = 0;   // calls whose fetch deadline expired
-    // Recovery traffic, accounted separately from the primary-path counters
-    // above so RoundTripsPerCall keeps the paper's Table-3 semantics (it
-    // used to fold re-issued WRITEs and their abandoned fetch READs into the
-    // numerator, inflating the metric whenever fault tolerance was active).
-    // Invariant: request_writes counts exactly one WRITE per issued call.
-    uint64_t recovery_request_writes = 0;  // re-issued request WRITEs
-    uint64_t recovery_fetch_reads = 0;     // READs of attempts abandoned by a re-issue
-    // Overload-protection events (docs/overload.md).
-    uint64_t busy_responses = 0;  // BUSY shed notices observed by the client
-    uint64_t shed_admission = 0;  // requests shed by admission control (server side)
-    uint64_t shed_deadline = 0;   // requests shed as already expired (server side)
-    uint64_t breaker_opens = 0;   // circuit-breaker closed/half-open -> open
-    // Replication / failover (docs/replication.md).
-    uint64_t redirects = 0;       // REDIRECT responses observed by the client
-    uint64_t shed_redirect = 0;   // requests rejected with REDIRECT (server side)
-    // Pipelining (docs/pipelining.md; all zero on window=1 channels).
-    uint64_t doorbell_batches = 0;  // posting sweeps (one leader doorbell each)
-    uint64_t batched_ops = 0;       // follower WRs that rode a leader's doorbell
-    // Coalesced fetching (docs/multicore.md; zero unless coalesced_fetch).
-    uint64_t coalesced_fetches = 0;  // spanning READs issued by fetch sweeps
-    uint64_t coalesced_slots = 0;    // pending slots those spans covered
-    // Coalesced request posting (docs/pipelining.md; zero on window=1
-    // channels and whenever the size rule keeps every slot its own WRITE).
-    uint64_t coalesced_writes = 0;       // request WRITEs spanning >= 2 slots
-    uint64_t coalesced_write_slots = 0;  // staged slots those WRITEs carried
-    // Zero-copy GET (docs/memory.md; zero unless ServerSendZeroCopy is used).
-    uint64_t zero_copy_sends = 0;      // indirect descriptors published
-    uint64_t zero_copy_fetches = 0;    // client entry READs issued
-    uint64_t zero_copy_bytes = 0;      // value bytes moved without a server copy
-    uint64_t zero_copy_fallbacks = 0;  // sends materialized via the copy path
-                                       // (client was in server-reply mode)
-    // Failed-retry count per completed remote-fetch call (Table 3).
-    sim::Histogram retries_per_call;
-    // Outstanding calls (posted + staged) sampled at each SubmitCall, and
-    // WRs per doorbell batch (window=1 channels record neither).
-    sim::Histogram submit_window;
-    sim::Histogram batch_occupancy;
+    OBS_STATS(Stats, RFP_CHANNEL_STATS)
 
     // Average RDMA round trips needed per completed call (paper Section 4.3
     // reports 2.005 for Jakiro). Counts only primary-path traffic; recovery
@@ -604,9 +620,10 @@ class Channel {
   void RecordBreakerOutcome(bool bad, uint64_t sent_epoch);
   // closed/half-open -> open: picks the jittered open interval.
   void OpenBreaker();
-  // With the breaker open, sleeps out the open interval and arms the
-  // half-open probe. No-op otherwise.
-  sim::Task<void> MaybeAwaitBreaker();
+  // Sleeps out the open breaker's interval and arms the half-open probe.
+  // Callers test for an open breaker first, so closed-breaker calls
+  // allocate no coroutine frame.
+  sim::Task<void> AwaitOpenBreaker();
   // Jittered sleep before re-issuing after the `nth_busy`-th consecutive
   // BUSY(admission) of this call.
   sim::Time BusyRetryDelay(uint16_t hint_us, int nth_busy);

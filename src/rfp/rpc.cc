@@ -50,35 +50,7 @@ RpcServer::RpcServer(rdma::Fabric& fabric, rdma::Node& node, int num_threads,
 }
 
 RpcServer::~RpcServer() {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  reg.GetCounter("rfp.rpc.requests_served", {{"node", node_.name()}})->Add(requests_served_);
-  if (thread_crashes_ > 0) {
-    reg.GetCounter("rfp.rpc.thread_crashes", {{"node", node_.name()}})->Add(thread_crashes_);
-  }
-  // Overload counters register only when shedding actually happened, so
-  // runs without overload keep their metric catalog unchanged.
-  if (requests_shed_admission_ > 0) {
-    reg.GetCounter("rfp.rpc.shed_admission", {{"node", node_.name()}})
-        ->Add(requests_shed_admission_);
-  }
-  if (requests_shed_deadline_ > 0) {
-    reg.GetCounter("rfp.rpc.shed_deadline", {{"node", node_.name()}})
-        ->Add(requests_shed_deadline_);
-  }
-  if (overload_enters_ > 0) {
-    reg.GetCounter("rfp.rpc.overload_enters", {{"node", node_.name()}})->Add(overload_enters_);
-  }
-  if (malformed_requests_ > 0) {
-    reg.GetCounter("rfp.rpc.malformed_requests", {{"node", node_.name()}})
-        ->Add(malformed_requests_);
-  }
-  if (channel_steals_ > 0) {
-    reg.GetCounter("rfp.rpc.channel_steals", {{"node", node_.name()}})->Add(channel_steals_);
-  }
-  if (requests_shed_redirect_ > 0) {
-    reg.GetCounter("rfp.rpc.shed_redirect", {{"node", node_.name()}})
-        ->Add(requests_shed_redirect_);
-  }
+  obs::Flush(obs::MetricsRegistry::Default(), {{"node", node_.name()}}, stats_);
 }
 
 int RpcServer::channels_owned_by(int thread) const {
@@ -131,7 +103,7 @@ const AsyncHandler* RpcServer::FindHandler(uint16_t rpc_id) const {
 }
 
 void RpcServer::RecordMalformedRequest(int thread_index, const char* why) {
-  ++malformed_requests_;
+  ++stats_.malformed_requests;
   if (sim::TraceSink* trace = fabric_.engine().trace_sink()) {
     trace->Instant("rfp", std::string("malformed_request:") + why,
                    worker_track_id(thread_index), fabric_.engine().now());
@@ -140,7 +112,7 @@ void RpcServer::RecordMalformedRequest(int thread_index, const char* why) {
 
 void RpcServer::StealChannel(ChannelEntry& entry, int thief, const char* why) {
   entry.owner = thief;
-  ++channel_steals_;
+  ++stats_.channel_steals;
   ++threads_[static_cast<size_t>(thief)].steals;
   if (sim::TraceSink* trace = fabric_.engine().trace_sink()) {
     trace->Instant("rfp", why, worker_track_id(thief), fabric_.engine().now());
@@ -153,7 +125,7 @@ void RpcServer::CrashThread(int thread) {
     return;
   }
   state.crashed = true;
-  ++thread_crashes_;
+  ++stats_.thread_crashes;
   if (sim::TraceSink* trace = fabric_.engine().trace_sink()) {
     trace->Instant("fault", "server_thread_crash", worker_track_id(thread),
                    fabric_.engine().now());
@@ -279,7 +251,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
       if (!state.overloaded &&
           est_ns >= static_cast<double>(options_.overload_hi_watermark_ns)) {
         state.overloaded = true;
-        ++overload_enters_;
+        ++stats_.overload_enters;
         if (sim::TraceSink* trace = engine.trace_sink()) {
           trace->Instant("rfp", "overload_on", worker_track_id(thread_index), engine.now());
         }
@@ -340,7 +312,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
         // whenever the request carries a deadline, admission control or not.
         const uint64_t request_deadline = channel->last_request_deadline_ns();
         if (request_deadline != 0 && static_cast<uint64_t>(engine.now()) > request_deadline) {
-          ++requests_shed_deadline_;
+          ++stats_.requests_shed_deadline;
           if (options_.shed_cpu_ns > 0) {
             if (options_.multicore) {
               co_await node_.cpus().ComputeOn(state.core, options_.shed_cpu_ns);
@@ -356,7 +328,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
         // class BUSY instead of silently aging in the request blocks.
         if (options_.admission_control && state.overloaded &&
             admitted >= options_.admission_budget) {
-          ++requests_shed_admission_;
+          ++stats_.requests_shed_admission;
           if (options_.shed_cpu_ns > 0) {
             if (options_.multicore) {
               co_await node_.cpus().ComputeOn(state.core, options_.shed_cpu_ns);
@@ -383,7 +355,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
         // redirect and re-resolve the leader.
         if (!gated_rpcs_.empty() && gated_rpcs_.count(rpc_id) != 0 &&
             (!repl_serving_ || channel->last_request_epoch() != repl_epoch_)) {
-          ++requests_shed_redirect_;
+          ++stats_.requests_shed_redirect;
           if (sim::TraceSink* trace = engine.trace_sink()) {
             trace->Instant("repl", "redirect", worker_track_id(thread_index), engine.now());
           }
@@ -438,7 +410,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
               std::span<const std::byte>(state.response_buf.data(), result.response_size));
         }
         ++state.served;
-        ++requests_served_;
+        ++stats_.requests_served;
       }
       if (options_.multicore && options_.batch_reply_publication) {
         // Publish every slot this visit completed in one doorbell batch
@@ -507,10 +479,8 @@ RpcClient::RpcClient(Channel* channel) : channel_(channel) {
 }
 
 RpcClient::~RpcClient() {
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-  const obs::Labels labels{{"client", channel_->client_node()->name()}};
-  reg.GetCounter("rfp.rpc.client_calls", labels)->Add(calls_);
-  reg.GetHistogram("rfp.rpc.call_latency_ns", labels)->Merge(latency_);
+  obs::Flush(obs::MetricsRegistry::Default(), {{"client", channel_->client_node()->name()}},
+             stats_);
 }
 
 sim::Task<size_t> RpcClient::Call(uint16_t rpc_id, std::span<const std::byte> request,
@@ -523,8 +493,8 @@ sim::Task<size_t> RpcClient::Call(uint16_t rpc_id, std::span<const std::byte> re
   const Channel::CallHandle handle = co_await channel_->SubmitCall(
       std::span<const std::byte>(scratch_.data(), kRpcIdBytes + request.size()), options);
   const size_t n = co_await channel_->AwaitCall(handle, response);
-  ++calls_;
-  latency_.Record(channel_->client_node()->fabric()->engine().now() - start);
+  ++stats_.calls;
+  stats_.latency.Record(channel_->client_node()->fabric()->engine().now() - start);
   co_return n;
 }
 
@@ -547,8 +517,8 @@ sim::Task<Channel::CallHandle> RpcClient::SubmitCall(uint16_t rpc_id,
 sim::Task<size_t> RpcClient::AwaitCall(Channel::CallHandle handle,
                                        std::span<std::byte> response) {
   const size_t n = co_await channel_->AwaitCall(handle, response);
-  ++calls_;
-  latency_.Record(channel_->client_node()->fabric()->engine().now() -
+  ++stats_.calls;
+  stats_.latency.Record(channel_->client_node()->fabric()->engine().now() -
                   submit_start_[static_cast<size_t>(handle.slot)]);
   co_return n;
 }

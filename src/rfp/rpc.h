@@ -28,6 +28,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/obs/catalog.h"
 #include "src/rdma/fabric.h"
 #include "src/rfp/channel.h"
 #include "src/rfp/options.h"
@@ -76,12 +77,29 @@ using AsyncHandler = std::function<sim::Task<HandlerResult>(const HandlerContext
                                                             std::span<const std::byte> request,
                                                             std::span<std::byte> response)>;
 
+// Stats catalogs (src/obs/catalog.h). Everything on the server but
+// requests_served registers only when it fired.
+#define RFP_RPC_SERVER_STATS(X)                                                                 \
+  X(counter, requests_served, "rfp.rpc.requests_served", always, "requests dispatched")         \
+  X(counter, thread_crashes, "rfp.rpc.thread_crashes", self, "worker crashes injected")         \
+  X(counter, requests_shed_admission, "rfp.rpc.shed_admission", self, "BUSY(admission) sheds")  \
+  X(counter, requests_shed_deadline, "rfp.rpc.shed_deadline", self, "BUSY(deadline) sheds")     \
+  X(counter, overload_enters, "rfp.rpc.overload_enters", self, "overload detector entries")     \
+  X(counter, malformed_requests, "rfp.rpc.malformed_requests", self, "requests dropped as bad") \
+  X(counter, channel_steals, "rfp.rpc.channel_steals", self, "channel moves between workers")   \
+  X(counter, requests_shed_redirect, "rfp.rpc.shed_redirect", self, "requests REDIRECTed")
+#define RFP_RPC_CLIENT_STATS(X)                                        \
+  X(counter, calls, "rfp.rpc.client_calls", always, "calls completed") \
+  X(histogram, latency, "rfp.rpc.call_latency_ns", always, "end-to-end call latency (ns)")
+
 class RpcServer {
  public:
+  struct Stats { OBS_STATS(Stats, RFP_RPC_SERVER_STATS) };
+
   RpcServer(rdma::Fabric& fabric, rdma::Node& node, int num_threads, ServerOptions options = {});
 
-  // Flushes requests-served counters into the default metrics registry,
-  // labeled {node}. Channels flush their own stats as they are destroyed.
+  // Flushes Stats labeled {node}. Channels flush their own stats as they
+  // are destroyed.
   ~RpcServer();
 
   RpcServer(const RpcServer&) = delete;
@@ -146,9 +164,9 @@ class RpcServer {
   bool thread_crashed(int thread) const {
     return threads_[static_cast<size_t>(thread)].crashed;
   }
-  uint64_t thread_crashes() const { return thread_crashes_; }
+  uint64_t thread_crashes() const { return stats_.thread_crashes; }
 
-  uint64_t requests_served() const { return requests_served_; }
+  uint64_t requests_served() const { return stats_.requests_served; }
   uint64_t requests_served_by(int thread) const {
     return threads_[static_cast<size_t>(thread)].served;
   }
@@ -176,7 +194,7 @@ class RpcServer {
   bool repl_serving() const { return repl_serving_; }
   uint32_t repl_epoch() const { return repl_epoch_; }
   // Requests rejected with REDIRECT by the epoch gate.
-  uint64_t requests_shed_redirect() const { return requests_shed_redirect_; }
+  uint64_t requests_shed_redirect() const { return stats_.requests_shed_redirect; }
 
   // ---- Overload protection (docs/overload.md) ------------------------------
 
@@ -185,10 +203,10 @@ class RpcServer {
     return threads_[static_cast<size_t>(thread)].overloaded;
   }
   // Requests shed with BUSY(admission) / BUSY(deadline), summed over threads.
-  uint64_t requests_shed_admission() const { return requests_shed_admission_; }
-  uint64_t requests_shed_deadline() const { return requests_shed_deadline_; }
+  uint64_t requests_shed_admission() const { return stats_.requests_shed_admission; }
+  uint64_t requests_shed_deadline() const { return stats_.requests_shed_deadline; }
   // Times any thread's detector entered the overloaded state.
-  uint64_t overload_enters() const { return overload_enters_; }
+  uint64_t overload_enters() const { return stats_.overload_enters; }
 
   // ---- Sweep hardening / multi-core dispatch (docs/multicore.md) -----------
 
@@ -196,7 +214,7 @@ class RpcServer {
   // rpc id), unknown rpc ids, and oversized/corrupt size fields. A malformed
   // request must never kill the sweep actor — it is counted, traced, and the
   // rest of the sweep is served.
-  uint64_t malformed_requests() const { return malformed_requests_; }
+  uint64_t malformed_requests() const { return stats_.malformed_requests; }
 
   // TEST ONLY (tests/explore corpus): lets the steal scan cross the busy
   // fence, modelling a dispatcher that forgets a visit can be suspended
@@ -207,7 +225,7 @@ class RpcServer {
   void set_unsafe_steal_busy_channels(bool unsafe) { unsafe_steal_busy_ = unsafe; }
 
   // Channel migrations between workers (orphan claims + load steals).
-  uint64_t channel_steals() const { return channel_steals_; }
+  uint64_t channel_steals() const { return stats_.channel_steals; }
   uint64_t thread_steals(int thread) const {
     return threads_[static_cast<size_t>(thread)].steals;
   }
@@ -273,13 +291,7 @@ class RpcServer {
   bool started_ = false;
   bool unsafe_steal_busy_ = false;  // TEST ONLY, see setter
   uint64_t server_ordinal_ = 0;
-  uint64_t requests_served_ = 0;
-  uint64_t thread_crashes_ = 0;
-  uint64_t requests_shed_admission_ = 0;
-  uint64_t requests_shed_deadline_ = 0;
-  uint64_t overload_enters_ = 0;
-  uint64_t malformed_requests_ = 0;
-  uint64_t channel_steals_ = 0;
+  Stats stats_;
   uint64_t channels_closed_ = 0;
   // Replication epoch gate (docs/replication.md). Empty gated_rpcs_ = the
   // legacy single-node server; the defaults below then never matter.
@@ -287,7 +299,6 @@ class RpcServer {
   bool repl_serving_ = true;
   uint32_t repl_epoch_ = 0;
   uint16_t repl_leader_hint_ = 0;
-  uint64_t requests_shed_redirect_ = 0;
   std::unordered_map<uint16_t, AsyncHandler> handlers_;
   std::vector<ThreadState> threads_;
   // All accepted channels in acceptance order; each worker's sweep visits
@@ -298,10 +309,11 @@ class RpcServer {
 
 class RpcClient {
  public:
+  struct Stats { OBS_STATS(Stats, RFP_RPC_CLIENT_STATS) };
+
   explicit RpcClient(Channel* channel);
 
-  // Flushes call count and latency into the default metrics registry,
-  // labeled {client} by the channel's client node.
+  // Flushes Stats labeled {client} by the channel's client node.
   ~RpcClient();
 
   Channel* channel() { return channel_; }
@@ -331,13 +343,12 @@ class RpcClient {
   // Calls may be awaited in any order.
   sim::Task<size_t> AwaitCall(Channel::CallHandle handle, std::span<std::byte> response);
 
-  uint64_t calls() const { return calls_; }
-  const sim::Histogram& latency() const { return latency_; }
+  uint64_t calls() const { return stats_.calls; }
+  const sim::Histogram& latency() const { return stats_.latency; }
 
  private:
   Channel* channel_;
-  uint64_t calls_ = 0;
-  sim::Histogram latency_;
+  Stats stats_;
   std::vector<std::byte> scratch_;
   // Submit time per slot, for end-to-end latency of pipelined calls.
   std::vector<sim::Time> submit_start_;

@@ -327,6 +327,10 @@ struct KvFingerprint {
   uint64_t reconnects = 0;
   uint64_t reissues = 0;
   uint64_t corrupt_fetches = 0;
+  // MergedChannelStats() versus the per-channel sum of the same counter.
+  uint64_t merged_recovery_writes = 0;
+  uint64_t channel_recovery_writes = 0;
+  double recovery_round_trips = 0.0;
   sim::Time final_time = 0;
 
   bool operator==(const KvFingerprint&) const = default;
@@ -409,6 +413,11 @@ KvFingerprint RunKvMatrix(uint64_t seed) {
     fp.reconnects += stats.reconnects;
     fp.reissues += stats.reissues;
     fp.corrupt_fetches += stats.corrupt_fetches;
+    fp.merged_recovery_writes += stats.recovery_request_writes;
+    fp.recovery_round_trips += stats.RecoveryRoundTripsPerCall();
+    for (int t = 0; t < kServerThreads; ++t) {
+      fp.channel_recovery_writes += client->channel(t)->stats().recovery_request_writes;
+    }
   }
   fp.final_time = engine.now();
   return fp;
@@ -420,6 +429,10 @@ TEST(FaultMatrixKvTest, JakiroSurvivesMixedPlanWithVerifiedValues) {
   EXPECT_EQ(a.verify_failures, 0u);
   EXPECT_EQ(a.ops, 300u);
   EXPECT_GT(a.reconnects, 0u);
+  // JakiroClient::MergedChannelStats carries the recovery counters.
+  EXPECT_GT(a.merged_recovery_writes, 0u);
+  EXPECT_EQ(a.merged_recovery_writes, a.channel_recovery_writes);
+  EXPECT_GT(a.recovery_round_trips, 0.0);
 
   const KvFingerprint b = RunKvMatrix(23);
   EXPECT_EQ(a, b);
