@@ -39,6 +39,7 @@ BENCHES = [
     "bench_ext_multiget",
     "bench_ext_conn_scale",
     "bench_ext_related_work",
+    "bench_ext_ud_loss",
 ]
 
 DIFF_LINES = 20

@@ -111,17 +111,54 @@ void PooledServer::TopUpRecv(int qp_index) {
   }
 }
 
-uint32_t PooledServer::AssignCid(const rdma::AddressHandle& reply) {
+uint32_t PooledServer::Connect(const rdma::AddressHandle& reply, uint16_t seq) {
+  // A connect retransmitted because its reply was lost carries the seq of
+  // the first one, which already holds a cid: send that cid again.
+  const auto live = cid_by_reply_.find(ReplyKey(reply));
+  if (live != cid_by_reply_.end() && clients_.at(live->second).connect_seq == seq) {
+    return live->second;
+  }
   // Monotonic, skipping 0 (the handshake sentinel) and any still-live cid
   // after a 24-bit wrap (16M connects within one server lifetime).
   do {
     next_cid_ = (next_cid_ + 1) & rfp::wire::kPooledCidMax;
   } while (next_cid_ == rfp::wire::kPooledCidNone || clients_.count(next_cid_) != 0);
-  clients_[next_cid_] = ClientEntry{reply};
+  clients_[next_cid_] = ClientEntry{reply, seq};
+  cid_by_reply_[ReplyKey(reply)] = next_cid_;
+  ++stats_.connects;
   if (check::FabricChecker* chk = fabric_.checker()) {
     chk->OnCidAssign(this, next_cid_);
   }
   return next_cid_;
+}
+
+void PooledServer::Release(uint32_t cid) {
+  const auto it = clients_.find(cid);
+  const rdma::AddressHandle reply = it->second.reply;
+  clients_.erase(it);
+  const auto live = cid_by_reply_.find(ReplyKey(reply));
+  if (live != cid_by_reply_.end() && live->second == cid) {
+    cid_by_reply_.erase(live);
+  }
+  if (released_.size() < kReleasedCids) {
+    released_.push_back(Released{cid, reply});
+  } else {
+    released_[released_next_] = Released{cid, reply};
+    released_next_ = (released_next_ + 1) % kReleasedCids;
+  }
+  ++stats_.disconnects;
+  if (check::FabricChecker* chk = fabric_.checker()) {
+    chk->OnCidRelease(this, cid);
+  }
+}
+
+const rdma::AddressHandle* PooledServer::FindReleased(uint32_t cid) const {
+  for (const Released& r : released_) {
+    if (r.cid == cid) {
+      return &r.reply;
+    }
+  }
+  return nullptr;
 }
 
 void PooledServer::Start() {
@@ -207,13 +244,7 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
       std::memcpy(&client_node, request.data(), sizeof(uint32_t));
       std::memcpy(&client_qpn, request.data() + sizeof(uint32_t), sizeof(uint32_t));
       const rdma::AddressHandle reply_to{client_node, client_qpn};
-      // A retransmitted connect assigns a fresh cid and the client keeps the
-      // first reply's — the duplicate entry then ages in the table until the
-      // server dies. Retransmits need injected loss or a pathological
-      // timeout, so the leak is bounded by the retransmit count; connects()
-      // vs live_connections() exposes it.
-      const uint32_t new_cid = AssignCid(reply_to);
-      ++stats_.connects;
+      const uint32_t new_cid = Connect(reply_to, header.seq);
       std::memcpy(response.data(), &new_cid, sizeof(uint32_t));
       co_await SendReply(qp, mr, tx, reply_to, header.seq, 0,
                          std::span<const std::byte>(response.data(), sizeof(uint32_t)));
@@ -221,8 +252,15 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
     }
     const auto it = clients_.find(cid);
     if (cid == rfp::wire::kPooledCidNone || it == clients_.end()) {
-      // Stale or closed connection (or a disconnect retransmit): drop, the
-      // client's retransmit path surfaces the failure.
+      // A disconnect retransmitted because its ack was lost: ack it again.
+      const rdma::AddressHandle* released =
+          rpc_id == kRpcDisconnect ? FindReleased(cid) : nullptr;
+      if (released != nullptr) {
+        co_await SendReply(qp, mr, tx, *released, header.seq, 0, {});
+        continue;
+      }
+      // Stale or closed connection: drop, the client's retransmit path
+      // surfaces the failure.
       ++stats_.dropped_requests;
       continue;
     }
@@ -230,11 +268,7 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
     // a concurrent disconnect on another QP would invalidate the iterator.
     const rdma::AddressHandle reply_to = it->second.reply;
     if (rpc_id == kRpcDisconnect) {
-      clients_.erase(it);
-      if (check::FabricChecker* chk = fabric_.checker()) {
-        chk->OnCidRelease(this, cid);
-      }
-      ++stats_.disconnects;
+      Release(cid);
       co_await SendReply(qp, mr, tx, reply_to, header.seq, 0, {});
       continue;
     }
@@ -278,16 +312,31 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
 
 PooledClient::PooledClient(rdma::Fabric& fabric, rdma::Node& node, PooledServer& server,
                            PooledOptions options)
-    : fabric_(fabric), node_(node), server_(server), options_(options) {
+    : fabric_(fabric), node_(node), options_(options) {
   ValidateOptions(options_);
-  server_addr_ = server.address(server.PickQp());
   qp_ = fabric.CreateUd(node);
   // Client buffers come from the node pool too: connecting a logical client
   // costs zero MR registrations end to end (the setup fast path).
   pool_ = mem::Pool::Shared(node);
   span_ = pool_->Alloc(slot_bytes() * (static_cast<size_t>(options_.client_recv_slots) + 1));
+  path_ = rfp::DatagramPath{
+      .engine = &fabric.engine(),
+      .qp = qp_,
+      .server = server.address(server.PickQp()),
+      .mr = span_.mr,
+      .rx_base = span_.offset,
+      .slot_bytes = slot_bytes(),
+      .reply_header_bytes = rfp::kHeaderBytes,
+      .reply_seq = [](const rdma::MemoryRegion& mr, size_t rx) -> uint32_t {
+        return mr.Load<rfp::ResponseHeader>(rx).seq;
+      },
+      .poll_ns = options_.client_poll_ns,
+      .retry_timeout_ns = options_.retry_timeout_ns,
+      .max_retransmits = options_.max_retransmits,
+      .name = "conn pooled",
+  };
   for (int i = 0; i < options_.client_recv_slots; ++i) {
-    RepostRecv(static_cast<uint64_t>(i));
+    path_.PostRecv(static_cast<uint64_t>(i));
   }
 }
 
@@ -301,11 +350,6 @@ size_t PooledClient::slot_bytes() const { return SlotBytesFor(options_); }
 
 size_t PooledClient::tx_off() const {
   return span_.offset + slot_bytes() * static_cast<size_t>(options_.client_recv_slots);
-}
-
-void PooledClient::RepostRecv(uint64_t wr_id) {
-  qp_->PostRecv(wr_id, *span_.mr, span_.offset + static_cast<size_t>(wr_id) * slot_bytes(),
-                static_cast<uint32_t>(slot_bytes()));
 }
 
 sim::Task<void> PooledClient::Connect() {
@@ -358,51 +402,14 @@ sim::Task<size_t> PooledClient::Call(uint16_t rpc_id, std::span<const std::byte>
 }
 
 sim::Task<size_t> PooledClient::Transact(uint32_t body_bytes, std::span<std::byte> response) {
-  sim::Engine& engine = fabric_.engine();
   const size_t tx = tx_off();
   const uint16_t seq = ++next_seq_;
   rfp::RequestHeader header;
   rfp::wire::PackPooledRequest(header, body_bytes, cid_, seq);
   span_.mr->Store(tx, header);
-  const uint32_t wire_bytes = rfp::kReqHeaderBytes + body_bytes;
-  int transmits = 0;
-  sim::Time deadline = 0;
-  while (true) {
-    if (transmits == 0 || engine.now() >= deadline) {
-      if (transmits > options_.max_retransmits) {
-        ++stats_.failures;
-        throw std::runtime_error("conn pooled: call timed out after retransmits");
-      }
-      if (transmits > 0) {
-        ++stats_.retransmits;
-      }
-      ++transmits;
-      ++stats_.sends;
-      co_await qp_->SendTo(server_addr_, *span_.mr, tx, wire_bytes);
-      deadline = engine.now() + options_.retry_timeout_ns;
-    }
-    // Drain arrived responses, filtering stale replies by sequence tag.
-    while (auto wc = qp_->recv_cq()->Poll()) {
-      const size_t rx = span_.offset + static_cast<size_t>(wc->wr_id) * slot_bytes();
-      const rfp::ResponseHeader reply = span_.mr->Load<rfp::ResponseHeader>(rx);
-      const size_t payload =
-          wc->byte_len >= rfp::kHeaderBytes ? wc->byte_len - rfp::kHeaderBytes : 0;
-      const bool match = wc->ok() && reply.seq == seq;
-      if (match) {
-        if (payload > response.size()) {
-          RepostRecv(wc->wr_id);
-          throw std::length_error("conn pooled: response larger than output buffer");
-        }
-        span_.mr->ReadBytes(rx + rfp::kHeaderBytes, response.subspan(0, payload));
-      }
-      RepostRecv(wc->wr_id);
-      if (match) {
-        co_return payload;
-      }
-      ++stats_.duplicates;
-    }
-    co_await engine.Sleep(options_.client_poll_ns);
-  }
+  co_return co_await rfp::DatagramCall(
+      path_, tx, rfp::kReqHeaderBytes + body_bytes, seq, response,
+      rfp::DatagramCounters{stats_.sends, stats_.retransmits, stats_.duplicates, stats_.failures});
 }
 
 }  // namespace conn

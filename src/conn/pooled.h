@@ -21,9 +21,11 @@
 // Requests dispatch through the owning RpcServer's handler table
 // (RpcServer::FindHandler), so one registered handler serves dedicated
 // channels and pooled clients alike. The transport is unreliable: clients
-// carry a sequence tag, retransmit on timeout, and filter duplicate replies;
-// the server executes every arrival (handlers are idempotent by the RFP
-// contract).
+// carry a sequence tag, retransmit on timeout, and filter duplicate replies
+// (rfp::DatagramCall); the server executes every arrival (handlers are
+// idempotent by the RFP contract). Connect and disconnect are idempotent:
+// a retransmitted connect gets its first arrival's cid again, and a
+// retransmitted disconnect of a recently released cid is acked again.
 //
 // Wire format:
 //   request   [rfp::RequestHeader (16 B, cid in mode/slot/size bits)]
@@ -45,6 +47,7 @@
 #include "src/mem/pool.h"
 #include "src/obs/catalog.h"
 #include "src/rdma/fabric.h"
+#include "src/rfp/datagram_call.h"
 #include "src/rfp/rpc.h"
 #include "src/sim/stats.h"
 #include "src/sim/task.h"
@@ -128,7 +131,20 @@ class PooledServer {
  private:
   struct ClientEntry {
     rdma::AddressHandle reply;  // where this cid's responses go
+    uint16_t connect_seq;       // seq of the connect that assigned the cid
   };
+  struct Released {
+    uint32_t cid;
+    rdma::AddressHandle reply;
+  };
+  // Released cids remembered for re-acking a retransmitted disconnect: at
+  // least max_retransmits x retry_timeout_ns (200 us by default) of releases
+  // at any rate the benches reach.
+  static constexpr size_t kReleasedCids = 4096;
+
+  static uint64_t ReplyKey(const rdma::AddressHandle& reply) {
+    return (uint64_t{reply.node_id} << 32) | reply.qp_num;
+  }
 
   sim::Task<void> ServeLoop(int qp_index);
   // Posts free shared slots onto `qp_index` up to its fair-share target.
@@ -138,7 +154,13 @@ class PooledServer {
   size_t slot_bytes() const;
   size_t rx_offset(uint32_t slot) const;
   size_t tx_offset(int qp_index) const;
-  uint32_t AssignCid(const rdma::AddressHandle& reply);
+  // The cid for a connect from `reply` tagged `seq`: the one its first
+  // arrival got when this is a retransmit, else a fresh one.
+  uint32_t Connect(const rdma::AddressHandle& reply, uint16_t seq);
+  // Releases live `cid` into the released ring.
+  void Release(uint32_t cid);
+  // Reply address of a recently released `cid`, or nullptr.
+  const rdma::AddressHandle* FindReleased(uint32_t cid) const;
 
   rdma::Fabric& fabric_;
   rfp::RpcServer& rpc_;
@@ -153,6 +175,9 @@ class PooledServer {
   mem::Span arena_;
   std::vector<uint32_t> free_slots_;
   std::unordered_map<uint32_t, ClientEntry> clients_;
+  std::unordered_map<uint64_t, uint32_t> cid_by_reply_;  // live cids by ReplyKey
+  std::vector<Released> released_;  // ring of the last kReleasedCids releases
+  size_t released_next_ = 0;        // oldest entry once the ring is full
   uint32_t next_cid_ = 0;
   int next_qp_ = 0;
   Stats stats_;
@@ -202,20 +227,18 @@ class PooledClient {
  private:
   size_t slot_bytes() const;
   size_t tx_off() const;
-  void RepostRecv(uint64_t wr_id);
-  // One request/response exchange under the current cid (retransmit +
-  // duplicate filter). The request bytes must already be staged in the tx
-  // slot after the header.
+  // One request/response exchange under the current cid (rfp::DatagramCall).
+  // The request bytes must already be staged in the tx slot after the
+  // header.
   sim::Task<size_t> Transact(uint32_t body_bytes, std::span<std::byte> response);
 
   rdma::Fabric& fabric_;
   rdma::Node& node_;
-  PooledServer& server_;
   PooledOptions options_;
-  rdma::AddressHandle server_addr_;
   rdma::QueuePair* qp_;
   std::shared_ptr<mem::Pool> pool_;
   mem::Span span_;  // [client_recv_slots slots][tx slot]
+  rfp::DatagramPath path_;
   uint32_t cid_ = 0;
   uint16_t next_seq_ = 0;
   Stats stats_;

@@ -118,28 +118,34 @@ sim::Task<void> UdRpcServer::ServeLoop(int thread) {
 
 UdRpcClient::UdRpcClient(rdma::Fabric& fabric, rdma::Node& node, rdma::AddressHandle server,
                          UdRpcOptions options)
-    : fabric_(fabric), node_(node), server_(server), options_(options) {
+    : fabric_(fabric), node_(node), options_(options) {
   qp_ = fabric.CreateUd(node);
   const size_t slot = SlotBytes(options_);
   region_ =
       node.RegisterMemory(slot * (static_cast<size_t>(options_.recv_pool) + 1), rdma::kAccessLocal);
+  path_ = DatagramPath{
+      .engine = &fabric.engine(),
+      .qp = qp_,
+      .server = server,
+      .mr = region_,
+      .rx_base = 0,
+      .slot_bytes = slot,
+      .reply_header_bytes = kHdr,
+      .reply_seq = [](const rdma::MemoryRegion& mr, size_t rx) { return LoadHeader(mr, rx).seq; },
+      .poll_ns = options_.client_poll_ns,
+      .retry_timeout_ns = options_.retry_timeout_ns,
+      .max_retransmits = options_.max_retransmits,
+      .name = "ud rpc",
+  };
   for (int i = 0; i < options_.recv_pool; ++i) {
-    RepostRecv(static_cast<uint64_t>(i));
+    path_.PostRecv(static_cast<uint64_t>(i));
   }
-}
-
-void UdRpcClient::RepostRecv(uint64_t wr_id) {
-  const size_t slot = SlotBytes(options_);
-  qp_->PostRecv(wr_id, *region_, static_cast<size_t>(wr_id) * slot,
-                static_cast<uint32_t>(slot));
 }
 
 sim::Task<size_t> UdRpcClient::Call(uint16_t rpc_id, std::span<const std::byte> request,
                                     std::span<std::byte> response) {
-  sim::Engine& engine = fabric_.engine();
-  const sim::Time start = engine.now();
-  const size_t slot = SlotBytes(options_);
-  const size_t tx_offset = slot * static_cast<size_t>(options_.recv_pool);
+  const sim::Time start = fabric_.engine().now();
+  const size_t tx_offset = SlotBytes(options_) * static_cast<size_t>(options_.recv_pool);
   const uint32_t seq = ++next_seq_;
 
   UdHeader header;
@@ -149,47 +155,13 @@ sim::Task<size_t> UdRpcClient::Call(uint16_t rpc_id, std::span<const std::byte> 
   header.rpc_id = rpc_id;
   region_->Store(tx_offset, header);
   region_->WriteBytes(tx_offset + kHdr, request);
-  const uint32_t wire_bytes = static_cast<uint32_t>(kHdr + request.size());
 
   ++stats_.calls;
-  int transmits = 0;
-  sim::Time deadline = 0;
-  while (true) {
-    if (transmits == 0 || engine.now() >= deadline) {
-      if (transmits > options_.max_retransmits) {
-        ++stats_.failures;
-        throw std::runtime_error("ud rpc: call timed out after retransmits");
-      }
-      if (transmits > 0) {
-        ++stats_.retransmits;
-      }
-      ++transmits;
-      ++stats_.sends;
-      co_await qp_->SendTo(server_, *region_, tx_offset, wire_bytes);
-      deadline = engine.now() + options_.retry_timeout_ns;
-    }
-    // Drain arrived responses.
-    while (auto wc = qp_->recv_cq()->Poll()) {
-      const size_t rx_offset = static_cast<size_t>(wc->wr_id) * slot;
-      const UdHeader reply = LoadHeader(*region_, rx_offset);
-      const size_t payload = wc->byte_len >= kHdr ? wc->byte_len - kHdr : 0;
-      const bool match = wc->ok() && reply.seq == seq;
-      if (match) {
-        if (payload > response.size()) {
-          RepostRecv(wc->wr_id);
-          throw std::length_error("ud rpc: response larger than output buffer");
-        }
-        region_->ReadBytes(rx_offset + kHdr, response.subspan(0, payload));
-      }
-      RepostRecv(wc->wr_id);
-      if (match) {
-        latency_.Record(engine.now() - start);
-        co_return payload;
-      }
-      ++stats_.duplicates;  // stale reply to an earlier (retransmitted) seq
-    }
-    co_await engine.Sleep(options_.client_poll_ns);
-  }
+  const size_t payload = co_await DatagramCall(
+      path_, tx_offset, static_cast<uint32_t>(kHdr + request.size()), seq, response,
+      DatagramCounters{stats_.sends, stats_.retransmits, stats_.duplicates, stats_.failures});
+  latency_.Record(fabric_.engine().now() - start);
+  co_return payload;
 }
 
 }  // namespace rfp

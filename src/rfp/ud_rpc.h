@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/rdma/fabric.h"
+#include "src/rfp/datagram_call.h"
 #include "src/rfp/rpc.h"
 #include "src/sim/stats.h"
 #include "src/sim/task.h"
@@ -103,14 +104,12 @@ class UdRpcClient {
   const sim::Histogram& latency() const { return latency_; }
 
  private:
-  void RepostRecv(uint64_t wr_id);
-
   rdma::Fabric& fabric_;
   rdma::Node& node_;
-  rdma::AddressHandle server_;
   UdRpcOptions options_;
   rdma::QueuePair* qp_;
   rdma::MemoryRegion* region_;  // [recv slots][tx staging]
+  DatagramPath path_;
   uint32_t next_seq_ = 0;
   Stats stats_;
   sim::Histogram latency_;

@@ -76,7 +76,20 @@ void Engine::ScheduleAt(Time when, std::function<void()> fn) {
     free_callbacks_.pop_back();
     *slot = std::move(fn);
   }
-  Push(when, slot, /*callback=*/true);
+  Push(when, slot, kCallback);
+}
+
+Engine::Timer Engine::ArmTimer(Time when, std::coroutine_handle<> handle) {
+  Timer slot;
+  if (free_timers_.empty()) {
+    slot = &timers_.emplace_back(handle);
+  } else {
+    slot = free_timers_.back();
+    free_timers_.pop_back();
+    *slot = handle;
+  }
+  Push(when, slot, kTimer);
+  return slot;
 }
 
 void Engine::Spawn(Task<void> task) {
@@ -92,14 +105,26 @@ void Engine::ActorDone(std::exception_ptr e) {
 }
 
 void Engine::Fire(const Entry& e) {
-  now_ = e.when;
   ++events_processed_;
-  if ((e.seq & 1) == 0) {
+  const uint64_t kind = e.seq & ((uint64_t{1} << kKindBits) - 1);
+  if (kind == kResume) {
+    now_ = e.when;
     std::coroutine_handle<>::from_address(e.target).resume();
+    return;
+  }
+  if (kind == kTimer) {
+    auto* slot = static_cast<std::coroutine_handle<>*>(e.target);
+    const std::coroutine_handle<> handle = std::exchange(*slot, nullptr);
+    free_timers_.push_back(slot);
+    if (handle) {
+      now_ = e.when;
+      handle.resume();
+    }
     return;
   }
   // Move the callback out and free its slot before running it, so the slot
   // is reusable by whatever the callback schedules.
+  now_ = e.when;
   auto* slot = static_cast<std::function<void()>*>(e.target);
   std::function<void()> fn = std::move(*slot);
   *slot = nullptr;

@@ -14,8 +14,8 @@
 // lane. Every heap entry due at now() was queued before the clock reached
 // now(), so it has a lower sequence number than every lane entry and runs
 // first; the two together dispatch in exactly (time, seq) order. An entry's
-// target is a coroutine frame, or a ScheduleAt() callback kept in a slab, so
-// resuming a coroutine never builds a std::function.
+// target is a coroutine frame, a ScheduleAt() callback kept in a slab, or an
+// ArmTimer() slot, so resuming a coroutine never builds a std::function.
 //
 // The FIFO tie-break can be overridden with a SchedulePolicy (schedule.h):
 // when a policy is installed, every instant with more than one ready event
@@ -85,8 +85,20 @@ class Engine {
 
   // Resumes `handle` at absolute virtual time `when` (clamped to now()).
   void ResumeAt(Time when, std::coroutine_handle<> handle) {
-    Push(when, handle.address(), /*callback=*/false);
+    Push(when, handle.address(), kResume);
   }
+
+  // A cancellable ResumeAt. ArmTimer queues a resumption of `handle` at
+  // `when` (clamped to now()); CancelTimer before then turns the queued entry
+  // into a no-op that runs nothing and leaves the clock where it is, so a
+  // cancelled timer never moves now() or the end time of Run() (under a
+  // schedule policy it still counts in its instant's ready set). A timer must
+  // not be cancelled once it fired. Slots are recycled when their entry
+  // leaves the queue, so arming allocates nothing once the engine has held
+  // its peak number of pending timers.
+  using Timer = std::coroutine_handle<>*;
+  Timer ArmTimer(Time when, std::coroutine_handle<> handle);
+  static void CancelTimer(Timer timer) { *timer = nullptr; }
 
   // Awaitable: suspends the current coroutine for `delay` virtual nanoseconds.
   auto Sleep(Time delay) {
@@ -144,14 +156,19 @@ class Engine {
 
  private:
   // One pending event. `seq` is the schedule sequence number shifted left
-  // by one, with bit 0 set when `target` is a std::function<void()> in
-  // callbacks_ rather than a coroutine frame; ordering by it is ordering by
-  // sequence number.
+  // by two, with the low bits saying what `target` is (a Kind); ordering by
+  // it is ordering by sequence number.
   struct Entry {
     Time when;
     uint64_t seq;
     void* target;
   };
+  enum Kind : uint64_t {
+    kResume = 0,    // a coroutine frame
+    kCallback = 1,  // a std::function<void()> in callbacks_
+    kTimer = 2,     // a coroutine handle in timers_ (null once cancelled)
+  };
+  static constexpr uint64_t kKindBits = 2;
 
   // FIFO of entries due at now(), in seq order. A power-of-two ring, so a
   // long same-instant burst reuses its storage.
@@ -186,8 +203,8 @@ class Engine {
     return a.when != b.when ? a.when > b.when : a.seq > b.seq;
   }
 
-  void Push(Time when, void* target, bool callback) {
-    const uint64_t seq = (next_seq_++ << 1) | static_cast<uint64_t>(callback);
+  void Push(Time when, void* target, Kind kind) {
+    const uint64_t seq = (next_seq_++ << kKindBits) | kind;
     if (when <= now_) {
       lane_.push_back(Entry{now_, seq, target});
     } else {
@@ -224,6 +241,9 @@ class Engine {
   // ScheduleAt() callbacks; a deque, so queued entries' pointers stay valid.
   std::deque<std::function<void()>> callbacks_;
   std::vector<std::function<void()>*> free_callbacks_;  // empty slots in callbacks_
+  // ArmTimer() slots, recycled the same way.
+  std::deque<std::coroutine_handle<>> timers_;
+  std::vector<std::coroutine_handle<>*> free_timers_;
   std::vector<Entry> ready_scratch_;  // policy path: same-instant ready set
 };
 

@@ -239,6 +239,59 @@ TEST_F(PooledTest, RetransmitsAndFiltersDuplicatesUnderLoss) {
   EXPECT_GT(client.stats().sends, client.stats().calls);
 }
 
+// Connect and disconnect are idempotent under loss: a connect retransmitted
+// because its reply was lost gets the cid its first arrival was assigned
+// (no second cid leaks), and a disconnect retransmitted because its ack was
+// lost is acked again instead of dropped (Disconnect returns).
+TEST_F(PooledTest, ConnectAndDisconnectAreIdempotentUnderLoss) {
+  rdma::FabricConfig fc;
+  fc.unreliable_loss_prob = 0.2;
+  sim::Engine engine;
+  rdma::Fabric fabric(engine, fc);
+  rdma::Node& server_node = fabric.AddNode("server");
+  rdma::Node& client_node = fabric.AddNode("client");
+  rfp::RpcServer rpc(fabric, server_node, 1);
+  rpc.RegisterHandler(kEcho, [](const rfp::HandlerContext&, std::span<const std::byte> req,
+                                std::span<std::byte> resp) {
+    std::memcpy(resp.data(), req.data(), req.size());
+    return rfp::HandlerResult{req.size(), sim::Nanos(300)};
+  });
+  PooledOptions options;
+  // Budget far beyond what 20% loss exhausts: this is about idempotency,
+  // not about running out of retransmits.
+  options.max_retransmits = 40;
+  PooledServer server(fabric, rpc, options);
+  server.Start();
+  PooledClient client(fabric, client_node, server, options);
+
+  constexpr int kGenerations = 200;
+  constexpr int kCalls = 4;
+  int disconnected = 0;
+  engine.Spawn([](PooledClient* c, int* out) -> sim::Task<void> {
+    std::vector<std::byte> resp(64);
+    for (int g = 0; g < kGenerations; ++g) {
+      co_await c->Connect();
+      for (int k = 0; k < kCalls; ++k) {
+        const std::string msg = "g" + std::to_string(g) + "c" + std::to_string(k);
+        const size_t n = co_await c->Call(kEcho, AsBytes(msg), resp);
+        EXPECT_EQ(std::string(reinterpret_cast<const char*>(resp.data()), n), msg);
+      }
+      co_await c->Disconnect();
+      ++*out;
+    }
+  }(&client, &disconnected));
+  while (disconnected < kGenerations && engine.now() < sim::Seconds(1)) {
+    engine.RunFor(sim::Millis(1));
+  }
+  server.Stop();
+
+  EXPECT_EQ(disconnected, kGenerations);  // every Disconnect returned
+  EXPECT_GT(client.stats().retransmits, 0u);
+  EXPECT_EQ(server.connects(), static_cast<uint64_t>(kGenerations));
+  EXPECT_EQ(server.disconnects(), static_cast<uint64_t>(kGenerations));
+  EXPECT_EQ(server.live_connections(), 0u);
+}
+
 TEST_F(PooledTest, UnknownRpcIdIsDroppedAndCallFails) {
   PooledOptions options;
   options.max_retransmits = 2;

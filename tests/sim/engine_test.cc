@@ -1,5 +1,6 @@
 #include "src/sim/engine.h"
 
+#include <coroutine>
 #include <stdexcept>
 #include <vector>
 
@@ -171,6 +172,35 @@ TEST(EngineTest, NestedTaskAwaitPropagatesValue) {
   int result = rfptest::RunSync(engine, outer(engine));
   EXPECT_EQ(result, 43);
   EXPECT_EQ(engine.now(), Micros(2));
+}
+
+TEST(EngineTest, ArmedTimerResumesItsCoroutine) {
+  Engine engine;
+  Time woke = -1;
+  engine.Spawn([](Engine& e, Time* out) -> Task<void> {
+    struct ArmAwaiter {
+      Engine* engine;
+      bool await_ready() const noexcept { return false; }
+      void await_suspend(std::coroutine_handle<> h) { engine->ArmTimer(Micros(4), h); }
+      void await_resume() const noexcept {}
+    };
+    co_await ArmAwaiter{&e};
+    *out = e.now();
+  }(engine, &woke));
+  engine.Run();
+  EXPECT_EQ(woke, Micros(4));
+}
+
+TEST(EngineTest, CancelledTimerRunsNothingAndLeavesTheClock) {
+  Engine engine;
+  engine.ScheduleAt(Micros(1), [] {});
+  const Engine::Timer timer = engine.ArmTimer(Micros(9), std::noop_coroutine());
+  Engine::CancelTimer(timer);
+  engine.Run();
+  EXPECT_EQ(engine.events_processed(), 2u);  // the callback and the no-op
+  EXPECT_EQ(engine.now(), Micros(1));
+  // The slot is recycled by the next timer.
+  EXPECT_EQ(engine.ArmTimer(Micros(2), std::noop_coroutine()), timer);
 }
 
 TEST(EngineTest, DeepTaskChainDoesNotOverflowStack) {
