@@ -99,11 +99,10 @@ uint64_t PooledServer::recv_overflows() const {
 
 void PooledServer::TopUpRecv(int qp_index) {
   rdma::QueuePair* qp = qps_[static_cast<size_t>(qp_index)];
-  // Fair-share target; the shared free list is what makes this an SRQ: a QP
-  // that drains faster frees more slots and re-arms first, so slots flow to
-  // wherever the burst lands instead of being strip-owned per QP.
-  const size_t target = std::max<size_t>(
-      1, static_cast<size_t>(options_.recv_slots) / static_cast<size_t>(num_qps()));
+  // The shared free list is what makes this an SRQ: a QP that drains faster
+  // frees more slots and re-arms first, so slots flow to wherever the burst
+  // lands instead of being strip-owned per QP.
+  const size_t target = recv_target();
   while (!free_slots_.empty() && qp->recv_queue_depth() < target) {
     const uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
@@ -205,7 +204,15 @@ sim::Task<void> PooledServer::ServeLoop(int qp_index) {
     TopUpRecv(qp_index);
     const auto wc = qp->recv_cq()->Poll();
     if (!wc.has_value()) {
-      co_await engine.Sleep(options_.server_poll_ns);
+      if (qp->recv_queue_depth() < recv_target()) {
+        // Short of slots: a tick's top-up may re-arm from slots another QP
+        // frees meanwhile, so every tick does work.
+        co_await engine.Sleep(options_.server_poll_ns);
+      } else {
+        // Fully armed: until a datagram lands, every tick would poll an
+        // empty CQ and top up nothing, so dispatch none of them.
+        co_await qp->recv_cq()->WaitForTick(engine.now(), options_.server_poll_ns);
+      }
       continue;
     }
     const uint32_t slot = static_cast<uint32_t>(wc->wr_id);

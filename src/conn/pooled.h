@@ -38,6 +38,7 @@
 #ifndef SRC_CONN_POOLED_H_
 #define SRC_CONN_POOLED_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -151,6 +152,11 @@ class PooledServer {
   // Called every loop iteration, so a QP that drains faster re-arms with
   // more of the shared pool — the SRQ effect.
   void TopUpRecv(int qp_index);
+  // Receive slots each QP is topped up to: its fair share of the arena.
+  size_t recv_target() const {
+    return std::max<size_t>(
+        1, static_cast<size_t>(options_.recv_slots) / static_cast<size_t>(num_qps()));
+  }
   size_t slot_bytes() const;
   size_t rx_offset(uint32_t slot) const;
   size_t tx_offset(int qp_index) const;

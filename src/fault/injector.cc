@@ -156,6 +156,9 @@ void FaultInjector::Corrupt(const FaultEvent& event) {
     // XOR with a nonzero byte guarantees every targeted byte really changes.
     b ^= static_cast<std::byte>(1 + rng.NextBounded(255));
   }
+  // A flipped header can look like a fresh request: pollers that skip
+  // untouched rings must see the region as remotely written.
+  mr->NoteRemoteWrite(event.offset, len);
 }
 
 }  // namespace fault

@@ -2,13 +2,16 @@
 //
 // Completions are appended by the fabric when operations finish and drained
 // by application actors, either non-blockingly (Poll) or by suspending until
-// one arrives (Wait, WaitUntil) — the coroutine analogue of busy-polling
-// ibv_poll_cq. WaitUntil bounds the wait by a deadline, which lets a polling
-// client skip the poll ticks that would find the queue empty.
+// one arrives (Wait, WaitUntil, WaitForTick) — the coroutine analogue of
+// busy-polling ibv_poll_cq. WaitUntil bounds the wait by a deadline, which
+// lets a polling client skip the poll ticks that would find the queue empty;
+// WaitForTick resumes an idle poll loop straight at the tick that finds the
+// next completion.
 
 #ifndef SRC_RDMA_CQ_H_
 #define SRC_RDMA_CQ_H_
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
@@ -20,6 +23,7 @@
 #include "src/rdma/types.h"
 #include "src/sim/engine.h"
 #include "src/sim/task.h"
+#include "src/sim/time.h"
 
 namespace rdma {
 
@@ -31,6 +35,8 @@ class CompletionQueue {
   class Arrival {
    public:
     Arrival(CompletionQueue* cq, sim::Time deadline) : cq_(cq), deadline_(deadline) {}
+    Arrival(CompletionQueue* cq, sim::Time tick, sim::Time period)
+        : cq_(cq), deadline_(kNoDeadline), tick_(tick), period_(period) {}
     Arrival(const Arrival&) = delete;
     Arrival& operator=(const Arrival&) = delete;
     ~Arrival() {
@@ -66,6 +72,8 @@ class CompletionQueue {
 
     CompletionQueue* cq_;
     sim::Time deadline_;
+    sim::Time tick_ = 0;    // WaitForTick's grid; period_ == 0: resume at the push
+    sim::Time period_ = 0;
     std::coroutine_handle<> handle_;
     sim::Engine::Timer timer_ = nullptr;
     Arrival* next_ = nullptr;
@@ -107,7 +115,11 @@ class CompletionQueue {
       if (w->timer_ != nullptr) {
         sim::Engine::CancelTimer(w->timer_);
       }
-      engine_.ResumeAt(engine_.now(), w->handle_);
+      const sim::Time now = engine_.now();
+      engine_.ResumeAt(w->period_ == 0 ? now
+                                       : sim::TickAtOrAfter(w->tick_, w->period_,
+                                                            std::max(now, w->tick_ + w->period_)),
+                       w->handle_);
     }
   }
 
@@ -147,6 +159,13 @@ class CompletionQueue {
   // false at the deadline. A deadline that a Push beats costs one no-op
   // engine event and no allocation (sim::Engine::ArmTimer).
   Arrival WaitUntil(sim::Time deadline) { return Arrival(this, deadline); }
+
+  // Awaitable for a loop that polls this queue at tick + k·period and found
+  // it empty at `tick`: completes at once while a completion is queued,
+  // otherwise at the poll tick that first sees the next Push — the first
+  // tick after `tick` at or after it — with one engine event however many
+  // empty ticks it skips. Yields true.
+  Arrival WaitForTick(sim::Time tick, sim::Time period) { return Arrival(this, tick, period); }
 
   size_t depth() const { return queue_.size(); }
   uint64_t total_completions() const { return total_; }

@@ -8,10 +8,12 @@
 #ifndef SRC_RDMA_MEMORY_H_
 #define SRC_RDMA_MEMORY_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <iterator>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -93,13 +95,73 @@ class MemoryRegion {
     CopyBytes(dst, std::span<const std::byte>(data_).subspan(offset, dst.size()));
   }
 
+  // ---- Remote-write watches ---------------------------------------------------
+  //
+  // A watch raises the one-byte `*flag` (sets it to 1) whenever bytes that a
+  // peer put on the wire land on [offset, offset + len): an RDMA WRITE, or a
+  // fault-injected corruption that models one. Local stores never raise it.
+  // A poller can then skip a watched range whose flag is down, knowing no
+  // remote byte changed there since it cleared the flag. Watched ranges of
+  // one region must not overlap; the flag must outlive the watch.
+  void Watch(size_t offset, size_t len, uint8_t* flag);
+  // Removes the watch that starts at `offset`.
+  void Unwatch(size_t offset);
+  // Raises the flag of every watch overlapping [offset, offset + len).
+  // O(log watches); free when the region has none.
+  void NoteRemoteWrite(size_t offset, size_t len) {
+    if (!watches_.empty() && len != 0) {
+      RaiseWatches(offset, len);
+    }
+  }
+
  private:
+  struct WatchRange {
+    size_t begin;
+    size_t end;
+    uint8_t* flag;
+  };
+  void RaiseWatches(size_t offset, size_t len);
+
   Node* node_;
   uint32_t lkey_;
   uint32_t rkey_;
   uint32_t access_;
   std::vector<std::byte> data_;
+  std::vector<WatchRange> watches_;  // sorted by begin, disjoint
 };
+
+inline void MemoryRegion::Watch(size_t offset, size_t len, uint8_t* flag) {
+  const auto it = std::lower_bound(
+      watches_.begin(), watches_.end(), offset,
+      [](const WatchRange& w, size_t off) { return w.begin < off; });
+  if ((it != watches_.end() && it->begin < offset + len) ||
+      (it != watches_.begin() && std::prev(it)->end > offset)) {
+    throw std::invalid_argument("rdma::MemoryRegion::Watch: overlapping watch");
+  }
+  watches_.insert(it, WatchRange{offset, offset + len, flag});
+}
+
+inline void MemoryRegion::Unwatch(size_t offset) {
+  const auto it = std::lower_bound(
+      watches_.begin(), watches_.end(), offset,
+      [](const WatchRange& w, size_t off) { return w.begin < off; });
+  if (it != watches_.end() && it->begin == offset) {
+    watches_.erase(it);
+  }
+}
+
+inline void MemoryRegion::RaiseWatches(size_t offset, size_t len) {
+  // The last watch starting at or before `offset` may cover it; later ones
+  // overlap while they start below the write's end.
+  auto it = std::upper_bound(watches_.begin(), watches_.end(), offset,
+                             [](size_t off, const WatchRange& w) { return off < w.begin; });
+  if (it != watches_.begin() && std::prev(it)->end > offset) {
+    --it;
+  }
+  for (const size_t end = offset + len; it != watches_.end() && it->begin < end; ++it) {
+    *it->flag = 1;
+  }
+}
 
 }  // namespace rdma
 

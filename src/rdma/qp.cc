@@ -204,6 +204,7 @@ sim::Task<WorkCompletion> QueuePair::Write(MemoryRegion& local, size_t local_off
   co_await peer_->nic().ServeInboundOneSided(ok ? len : 0);
   if (ok) {
     target->WriteBytes(remote_off, payload);
+    target->NoteRemoteWrite(remote_off, len);
     if (chk != nullptr) {
       chk->OnRemoteWrite(rkey.rkey, remote_off, len);
     }
@@ -234,6 +235,7 @@ sim::Task<void> QueuePair::DeliverUcWrite(RemoteKey rkey, size_t remote_off,
   co_await peer_->nic().ServeInboundOneSided(ok ? static_cast<uint32_t>(payload.size()) : 0);
   if (ok) {
     target->WriteBytes(remote_off, payload);
+    target->NoteRemoteWrite(remote_off, payload.size());
     if (check::FabricChecker* chk = fabric_->checker()) {
       chk->OnRemoteWrite(rkey.rkey, remote_off, payload.size());
     }

@@ -84,6 +84,10 @@ Channel::Channel(rdma::Fabric& fabric, rdma::Node& client, rdma::Node& server,
     trace->NameTrack(reinterpret_cast<uint64_t>(this),
                      "channel " + client.name() + "->" + server.name());
   }
+  // Raise the ready bit on every remote write into the request ring; the
+  // response ring is only read remotely, so writes there never raise it.
+  // Last, so a throwing constructor leaves no watch behind.
+  server_span_.mr->Watch(server_span_.offset, resp_offset_, &request_ready_);
 }
 
 Channel::~Channel() {
@@ -103,6 +107,7 @@ Channel::~Channel() {
   // pool (docs/memory.md).
   fabric_->RetireQp(client_qp_);
   fabric_->RetireQp(server_qp_);
+  server_span_.mr->Unwatch(server_span_.offset);
   server_pool_->Free(server_span_);
   client_pool_->Free(client_span_);
 }
@@ -543,7 +548,11 @@ sim::Task<void> Channel::EnsureConnected(rdma::QueuePair* failed) {
 }
 
 bool Channel::NeedsReplyResend() const {
-  if (server_visible_mode() != Mode::kServerReply || unsafe_switch_race_) {
+  return !unsafe_switch_race_ && HasUnpushedReplies();
+}
+
+bool Channel::HasUnpushedReplies() const {
+  if (server_visible_mode() != Mode::kServerReply) {
     return false;
   }
   for (const ServerSlot& ss : sslots_) {

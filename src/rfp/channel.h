@@ -32,6 +32,7 @@
 #include <memory>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "src/mem/pool.h"
@@ -327,6 +328,24 @@ class Channel {
   // loops use it to gate MaybeResendAfterSwitch. Checks every slot on a
   // pipelined channel.
   bool NeedsReplyResend() const;
+
+  // NeedsReplyResend() ignoring the TEST ONLY switch-race mutant: a
+  // reply-mode response is stored but not yet pushed, so a server visit
+  // (resend or batch flush) still has work on this channel.
+  bool HasUnpushedReplies() const;
+
+  // ---- Ready bit (docs/multicore.md) ----------------------------------------
+
+  // The request ring (every slot's block, the mode byte included) is watched
+  // for remote writes (rdma::MemoryRegion::Watch): a client's request or
+  // mode-switch WRITE, or a corruption fault, raises this bit. It starts
+  // raised. A sweep takes (reads and clears) it on entering a visit and
+  // raises it again when the visit ends without proof that the ring is
+  // drained, so a channel whose bit is down has PendingRequests() == 0 and
+  // no unpushed reply, and its visit would do nothing.
+  bool TakeRequestReady() { return std::exchange(request_ready_, uint8_t{0}) != 0; }
+  void MarkRequestReady() { request_ready_ = 1; }
+  bool request_ready() const { return request_ready_ != 0; }
 
   // Re-pushes the last response if the client switched to server-reply after
   // the response was stored locally (closing the switch race). Server sweep
@@ -656,6 +675,7 @@ class Channel {
   std::vector<ServerSlot> sslots_;  // `window` entries
   int recv_rr_ = 0;         // round-robin start of the server's slot scan
   int last_recv_slot_ = 0;  // slot of the request TryServerRecv returned
+  uint8_t request_ready_ = 1;  // see TakeRequestReady; raised by the MR watch
 
   // Client state.
   uint16_t seq_ = 0;

@@ -8,15 +8,6 @@
 
 namespace rfp {
 
-namespace {
-
-// The first tick of the grid origin + k·period at or after `t` (>= origin).
-sim::Time TickAtOrAfter(sim::Time origin, sim::Time period, sim::Time t) {
-  return origin + (t - origin + period - 1) / period * period;
-}
-
-}  // namespace
-
 void DatagramPath::PostRecv(uint64_t wr_id) const {
   qp->PostRecv(wr_id, *mr, rx_base + static_cast<size_t>(wr_id) * slot_bytes,
                static_cast<uint32_t>(slot_bytes));
@@ -45,7 +36,7 @@ sim::Task<size_t> DatagramCall(const DatagramPath& path, size_t tx_offset, uint3
       co_await path.qp->SendTo(path.server, *path.mr, tx_offset, wire_bytes);
       origin = engine.now();
       deadline = origin + path.retry_timeout_ns;
-      deadline_tick = TickAtOrAfter(origin, path.poll_ns, deadline);
+      deadline_tick = sim::TickAtOrAfter(origin, path.poll_ns, deadline);
     }
     // Drain arrived replies, filtering stale ones by sequence tag.
     while (auto wc = cq->Poll()) {
@@ -73,7 +64,7 @@ sim::Task<size_t> DatagramCall(const DatagramPath& path, size_t tx_offset, uint3
     sim::Time wake = next;
     if (next < deadline_tick) {
       const bool arrived = co_await cq->WaitUntil(deadline_tick);
-      wake = arrived ? std::max(next, TickAtOrAfter(origin, path.poll_ns, engine.now()))
+      wake = arrived ? std::max(next, sim::TickAtOrAfter(origin, path.poll_ns, engine.now()))
                      : deadline_tick;
     }
     co_await engine.Sleep(wake - engine.now());

@@ -16,6 +16,9 @@
 // client did the same whenever the delivery event was queued before that
 // tick's poll, which holds when the NIC's receive service time
 // (NicConfig::two_sided_rx_ns, 474 ns) exceeds poll_ns (200 ns by default).
+//
+// conn::PooledServer idles by the same rule, through
+// CompletionQueue::WaitForTick.
 
 #ifndef SRC_RFP_DATAGRAM_CALL_H_
 #define SRC_RFP_DATAGRAM_CALL_H_

@@ -1,6 +1,7 @@
 #include "src/rfp/rpc.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -20,6 +21,19 @@ constexpr size_t kRpcIdBytes = sizeof(uint16_t);
 uint64_t NextServerOrdinal() {
   static uint64_t next = 0;
   return ++next;
+}
+
+// Owned lists (ThreadState::owned) are ascending endpoint indices.
+void InsertOwned(std::vector<uint32_t>& owned, size_t index) {
+  const auto i = static_cast<uint32_t>(index);
+  owned.insert(std::lower_bound(owned.begin(), owned.end(), i), i);
+}
+
+void EraseOwned(std::vector<uint32_t>& owned, size_t index) {
+  const auto it = std::lower_bound(owned.begin(), owned.end(), static_cast<uint32_t>(index));
+  if (it != owned.end() && *it == index) {
+    owned.erase(it);
+  }
 }
 
 }  // namespace
@@ -53,18 +67,9 @@ RpcServer::~RpcServer() {
   obs::Flush(obs::MetricsRegistry::Default(), {{"node", node_.name()}}, stats_);
 }
 
-int RpcServer::channels_owned_by(int thread) const {
-  int owned = 0;
-  for (const ChannelEntry& entry : endpoints_) {
-    if (entry.channel != nullptr && entry.owner == thread) {
-      ++owned;
-    }
-  }
-  return owned;
-}
-
 bool RpcServer::CloseChannel(Channel* channel) {
-  for (ChannelEntry& entry : endpoints_) {
+  for (size_t ci = 0; ci < endpoints_.size(); ++ci) {
+    ChannelEntry& entry = endpoints_[ci];
     if (entry.channel != channel || channel == nullptr) {
       continue;
     }
@@ -74,18 +79,21 @@ bool RpcServer::CloseChannel(Channel* channel) {
       entry.closing = true;
       return true;
     }
-    DestroyChannel(entry);
+    DestroyChannel(ci);
     return true;
   }
   return false;
 }
 
-void RpcServer::DestroyChannel(ChannelEntry& entry) {
+void RpcServer::DestroyChannel(size_t index) {
+  ChannelEntry& entry = endpoints_[index];
   Channel* channel = entry.channel;
-  // Tombstone first: sweeps skip null-channel entries, and the entry must
-  // stay in place because suspended sweeps iterate endpoints_ by index.
+  // Tombstone: no owned list names the entry any more and the steal scans
+  // skip null channels; the entry stays in place because suspended sweeps
+  // hold endpoints_ indices.
   entry.channel = nullptr;
   entry.closing = false;
+  EraseOwned(threads_[static_cast<size_t>(entry.owner)].owned, index);
   for (auto it = owned_channels_.begin(); it != owned_channels_.end(); ++it) {
     if (it->get() == channel) {
       // ~Channel flushes its stats and returns the ring spans to the node
@@ -110,7 +118,10 @@ void RpcServer::RecordMalformedRequest(int thread_index, const char* why) {
   }
 }
 
-void RpcServer::StealChannel(ChannelEntry& entry, int thief, const char* why) {
+void RpcServer::StealChannel(size_t index, int thief, const char* why) {
+  ChannelEntry& entry = endpoints_[index];
+  EraseOwned(threads_[static_cast<size_t>(entry.owner)].owned, index);
+  InsertOwned(threads_[static_cast<size_t>(thief)].owned, index);
   entry.owner = thief;
   ++stats_.channel_steals;
   ++threads_[static_cast<size_t>(thief)].steals;
@@ -182,6 +193,7 @@ Channel* RpcServer::AcceptChannel(rdma::Node& client, const RfpOptions& options,
     channel->set_defer_server_pushes(true);
   }
   endpoints_.push_back(ChannelEntry{channel, thread, false});
+  state.owned.push_back(static_cast<uint32_t>(endpoints_.size() - 1));  // the largest index
   return channel;
 }
 
@@ -208,16 +220,12 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
       continue;
     }
     bool any = false;
-    size_t owned = 0;
-    for (const ChannelEntry& entry : endpoints_) {
-      if (entry.channel != nullptr && entry.owner == thread_index) {
-        ++owned;
-      }
-    }
+    const size_t owned = state.owned.size();
     // One scan over this worker's channels costs CPU whether or not
-    // anything arrived (the server busy-polls, paper Section 4.1). Under
-    // multicore the charge runs on the worker's pinned core, so workers
-    // sharing a core queue behind each other.
+    // anything arrived (the server busy-polls, paper Section 4.1), so the
+    // charge counts every owned channel even though the host only visits
+    // the ready ones below. Under multicore the charge runs on the worker's
+    // pinned core, so workers sharing a core queue behind each other.
     {
       const sim::Time poll_cpu =
           options_.poll_cpu_per_channel_ns * static_cast<sim::Time>(owned ? owned : 1);
@@ -231,14 +239,18 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
     // Estimated queued work for this sweep = pending requests x EWMA of the
     // measured per-request process time (floored at the dispatch cost).
     // Watermark hysteresis keeps the overloaded flag from flapping on a
-    // single busy sweep. The pending peek reads the same header the sweep
-    // poll already paid for, so it costs no extra CPU. The backlog-derived
-    // retry hint is computed whenever ANY shedding path can fire — deadline
-    // shedding is live without admission_control, and a hard-coded 1 us hint
-    // there told clients to retry straight into the backlog.
+    // single busy sweep. The pending peek is host work only: its virtual
+    // cost is part of the poll charge above. A channel whose ready bit is
+    // down has nothing pending (Channel::TakeRequestReady), so only ready
+    // channels — and fenced ones, whose visit may still hold requests — are
+    // peeked. The backlog-derived retry hint is computed whenever ANY
+    // shedding path can fire — deadline shedding is live without
+    // admission_control, and a hard-coded 1 us hint there told clients to
+    // retry straight into the backlog.
     size_t pending = 0;
-    for (const ChannelEntry& entry : endpoints_) {
-      if (entry.channel != nullptr && entry.owner == thread_index) {
+    for (const uint32_t ci : state.owned) {
+      const ChannelEntry& entry = endpoints_[ci];
+      if (entry.channel->request_ready() || entry.busy) {
         pending += static_cast<size_t>(entry.channel->PendingRequests());
       }
     }
@@ -264,21 +276,37 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
       }
     }
     int admitted = 0;
-    // Index-based iteration: AcceptChannel may push_back to this vector from
-    // another actor while this loop is suspended mid-body, which would
-    // invalidate range-for iterators. Ownership is re-checked per entry —
-    // a steal can only retarget channels this visit has not fenced busy.
-    for (size_t ci = 0; ci < endpoints_.size(); ++ci) {
+    // Walk the owned list in ascending endpoint order, looking the next
+    // index up again after every visit: visits suspend, and meanwhile
+    // AcceptChannel, steals and CloseChannel edit the list. A channel
+    // accepted or stolen onto this worker at a higher index is still
+    // visited this sweep, one moved away is not, exactly as an index scan
+    // over endpoints_ re-checking ownership would. A steal can only retarget
+    // channels this visit has not fenced busy.
+    for (size_t next = 0;;) {
+      const auto at = std::lower_bound(state.owned.begin(), state.owned.end(), next);
+      if (at == state.owned.end()) {
+        break;
+      }
+      const size_t ci = *at;
+      next = ci + 1;
       // The busy skip below and the fences in the steal scans are one
       // invariant with one mutant knob: unsafe_steal_busy_ models a
       // dispatcher that forgot visits suspend, so it both steals fenced
       // channels and sweeps a stolen channel whose old owner is still
       // mid-visit (tests/explore corpus pins the resulting double-serve).
-      if (endpoints_[ci].channel == nullptr || endpoints_[ci].owner != thread_index ||
-          (endpoints_[ci].busy && !unsafe_steal_busy_)) {
+      // The same mutant visits channels whose ready bit is down, since the
+      // old owner's visit took the bit.
+      if (endpoints_[ci].busy && !unsafe_steal_busy_) {
         continue;
       }
       Channel* channel = endpoints_[ci].channel;
+      // A channel no remote write touched since its last visit ended drained
+      // has nothing to serve: skip it without touching its rings.
+      if (!channel->TakeRequestReady() && !unsafe_steal_busy_) {
+        assert(channel->PendingRequests() == 0 && !channel->HasUnpushedReplies());
+        continue;
+      }
       // Fence the visit: the body suspends (CPU charges, RDMA ops), and a
       // concurrent steal mid-visit would hand two workers the same channel.
       endpoints_[ci].busy = true;
@@ -288,7 +316,9 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
       // A pipelined channel (RfpOptions::window > 1) can hold up to `window`
       // ready request slots; drain them all in this visit so one sweep
       // serves a whole doorbell batch. window == 1 runs the body at most
-      // once and pays exactly one header poll, as before.
+      // once and pays exactly one header poll, as before. `drained` records
+      // whether the visit saw the ring empty.
+      bool drained = false;
       for (int served_here = 0; served_here < channel->window(); ++served_here) {
         size_t request_size = 0;
         bool got = false;
@@ -298,11 +328,13 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
           // A corrupted size field claims more bytes than the dispatch
           // buffer holds. Counted drop, not an actor-killing throw; skip
           // the channel for the rest of this sweep (the client's re-issue
-          // rewrites the header).
+          // rewrites the header). The header stays, so the channel stays
+          // ready and every sweep counts it again.
           RecordMalformedRequest(thread_index, "oversized");
           break;
         }
         if (!got) {
+          drained = true;
           break;
         }
         any = true;
@@ -418,10 +450,17 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
         co_await channel->FlushServerPushes();
       }
       endpoints_[ci].busy = false;
+      // Writes that landed during the visit raised the bit already; raise it
+      // too when this visit cannot prove the channel has nothing left: a
+      // malformed header, a window that ran out before the ring did, or a
+      // reply still waiting for its push.
+      if (!drained || channel->HasUnpushedReplies()) {
+        channel->MarkRequestReady();
+      }
       if (endpoints_[ci].closing) {
         // A CloseChannel raced this visit; destroy now that the visit's
         // spans into the channel are dead.
-        DestroyChannel(endpoints_[ci]);
+        DestroyChannel(ci);
       }
     }
     // ---- Work stealing (docs/multicore.md) -------------------------------
@@ -441,7 +480,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
         if (!threads_[static_cast<size_t>(entry.owner)].crashed) {
           continue;
         }
-        StealChannel(entry, thread_index, "orphan_claim");
+        StealChannel(ci, thread_index, "orphan_claim");
         --budget;
       }
       if (!any) {
@@ -462,7 +501,7 @@ sim::Task<void> RpcServer::ServeLoop(int thread_index) {
           if (channels_owned_by(entry.owner) <= channels_owned_by(thread_index) + 1) {
             continue;
           }
-          StealChannel(entry, thread_index, "channel_steal");
+          StealChannel(ci, thread_index, "channel_steal");
           --budget;
         }
       }

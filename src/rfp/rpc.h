@@ -230,7 +230,9 @@ class RpcServer {
     return threads_[static_cast<size_t>(thread)].steals;
   }
   // Channels currently owned by `thread`'s sweep.
-  int channels_owned_by(int thread) const;
+  int channels_owned_by(int thread) const {
+    return static_cast<int>(threads_[static_cast<size_t>(thread)].owned.size());
+  }
   // Core the worker is pinned to under multicore (-1 when not multicore).
   int thread_core(int thread) const {
     return threads_[static_cast<size_t>(thread)].core;
@@ -258,6 +260,9 @@ class RpcServer {
     // Multi-core dispatch state:
     int core = -1;        // CpuSet core this worker is pinned to
     uint64_t steals = 0;  // channels this worker claimed from others
+    // endpoints_ indices this worker owns, ascending: the sweep walks these
+    // instead of scanning every endpoint.
+    std::vector<uint32_t> owned;
   };
 
   // A served channel and the worker that currently sweeps it. EREW at any
@@ -266,8 +271,9 @@ class RpcServer {
   // mid-visit would otherwise hand two workers the same channel).
   // `channel == nullptr` marks a closed entry: it stays in endpoints_ (sweep
   // visits are index-based and may be suspended mid-iteration, so erasing
-  // would shift indices under them) and every scan skips it. `closing`
-  // defers a CloseChannel that raced an in-progress visit.
+  // would shift indices under them), no owned list names it, and every scan
+  // skips it. `closing` defers a CloseChannel that raced an in-progress
+  // visit.
   struct ChannelEntry {
     Channel* channel = nullptr;
     int owner = 0;
@@ -276,12 +282,13 @@ class RpcServer {
   };
 
   sim::Task<void> ServeLoop(int thread_index);
-  // Frees entry's channel (rings back to the pools) and tombstones the entry.
-  void DestroyChannel(ChannelEntry& entry);
+  // Frees endpoints_[index]'s channel (rings back to the pools), drops it
+  // from its owner's list and tombstones the entry.
+  void DestroyChannel(size_t index);
   void RecordMalformedRequest(int thread_index, const char* why);
-  // Claims `entry` for `thief`; `why` labels the trace instant
+  // Claims endpoints_[index] for `thief`; `why` labels the trace instant
   // ("orphan_claim" / "channel_steal").
-  void StealChannel(ChannelEntry& entry, int thief, const char* why);
+  void StealChannel(size_t index, int thief, const char* why);
 
   rdma::Fabric& fabric_;
   rdma::Node& node_;
@@ -302,7 +309,8 @@ class RpcServer {
   std::unordered_map<uint16_t, AsyncHandler> handlers_;
   std::vector<ThreadState> threads_;
   // All accepted channels in acceptance order; each worker's sweep visits
-  // the subsequence it owns, preserving the legacy per-thread order.
+  // the subsequence it owns (ThreadState::owned), preserving the legacy
+  // per-thread order.
   std::vector<ChannelEntry> endpoints_;
   std::vector<std::unique_ptr<Channel>> owned_channels_;
 };

@@ -36,6 +36,13 @@ constexpr double MopsFromGap(Time gap_ns) {
   return gap_ns > 0 ? 1000.0 / static_cast<double>(gap_ns) : 0.0;
 }
 
+// The first tick of the poll grid origin + k·period at or after `t`
+// (t >= origin): where a loop polling every `period` from `origin` first
+// looks at something that happened at `t`.
+constexpr Time TickAtOrAfter(Time origin, Time period, Time t) {
+  return origin + (t - origin + period - 1) / period * period;
+}
+
 }  // namespace sim
 
 #endif  // SRC_SIM_TIME_H_

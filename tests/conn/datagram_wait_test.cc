@@ -10,6 +10,10 @@
 // are read off the client NIC's trace spans so each case is checked to be
 // the case it claims. NIC service jitter is off, so a process time moves
 // its reply's arrival by exactly that much.
+//
+// The idle pooled server waits on its CQ the same way; its serve instants
+// around a poll tick are pinned against the polling loop's, next to the
+// UD RPC server's, which still polls every tick.
 
 #include <cstdint>
 #include <cstring>
@@ -248,6 +252,138 @@ TEST(DatagramWaitTest, SlowReplyCostsNoEventPerEmptyPollTick) {
   ASSERT_GT(slow_events, 0u);
   EXPECT_EQ(client.stats().retransmits, 0u);
   EXPECT_LE(slow_events, fast_events + 10);
+}
+
+// ---- Idle datagram servers ----------------------------------------------------
+
+// Where a request reached a datagram server and when the server served it.
+struct ServerArrival {
+  sim::Time arrived;  // the request's receive CQ push at the server
+  sim::Time served;   // the handler ran (the poll tick that found it)
+  sim::Time done;     // the client's call returned
+};
+
+void PrintTo(const ServerArrival& r, std::ostream* os) {
+  *os << "{" << r.arrived << ", " << r.served << ", " << r.done << "}";
+}
+
+bool operator==(const ServerArrival& a, const ServerArrival& b) {
+  return a.arrived == b.arrived && a.served == b.served && a.done == b.done;
+}
+
+// One call, issued `delay` after the client is ready (for the pooled tier,
+// after its connect returned), against an otherwise idle server.
+template <typename Setup>
+ServerArrival OneServedCall(sim::Time delay, Setup setup) {
+  sim::Engine engine;
+  rdma::Fabric fabric(engine, Deterministic());
+  rdma::Node& server_node = fabric.AddNode("server");
+  rdma::Node& client_node = fabric.AddNode("client");
+  ServerArrival out{-1, -1, -1};
+  rfp::Handler handler = [&engine, &out](const rfp::HandlerContext&,
+                                         std::span<const std::byte> req,
+                                         std::span<std::byte> resp) {
+    out.served = engine.now();
+    std::memcpy(resp.data(), req.data(), req.size());
+    return rfp::HandlerResult{req.size(), 0};
+  };
+  Arrivals arrivals(server_node.nic());
+  engine.set_trace_sink(&arrivals);
+  size_t before = 0;
+  setup(engine, fabric, server_node, client_node, handler, delay, &before, &out.done,
+        arrivals);
+  engine.set_trace_sink(nullptr);
+  if (arrivals.at.size() > before) {
+    out.arrived = arrivals.at[before];
+  }
+  return out;
+}
+
+ServerArrival PooledServedCall(sim::Time delay) {
+  return OneServedCall(delay, [](sim::Engine& engine, rdma::Fabric& fabric,
+                                 rdma::Node& server_node, rdma::Node& client_node,
+                                 rfp::Handler handler, sim::Time d, size_t* before,
+                                 sim::Time* done, const Arrivals& arrivals) {
+    rfp::RpcServer rpc(fabric, server_node, 1);
+    rpc.RegisterHandler(kScripted, std::move(handler));
+    PooledServer server(fabric, rpc, {});
+    server.Start();
+    PooledClient client(fabric, client_node, server);
+    engine.Spawn([](PooledClient* c, sim::Engine* e, sim::Time wait, const Arrivals* arr,
+                    size_t* first, sim::Time* at) -> sim::Task<void> {
+      co_await c->Connect();
+      co_await e->Sleep(wait);
+      *first = arr->at.size();
+      std::vector<std::byte> req(8);
+      std::vector<std::byte> resp(64);
+      co_await c->Call(kScripted, req, resp);
+      *at = e->now();
+    }(&client, &engine, d, &arrivals, before, done));
+    engine.RunUntil(sim::Micros(60));
+    server.Stop();
+  });
+}
+
+ServerArrival UdServedCall(sim::Time delay) {
+  return OneServedCall(delay, [](sim::Engine& engine, rdma::Fabric& fabric,
+                                 rdma::Node& server_node, rdma::Node& client_node,
+                                 rfp::Handler handler, sim::Time d, size_t* before,
+                                 sim::Time* done, const Arrivals&) {
+    rfp::UdRpcServer server(fabric, server_node, 1);
+    server.RegisterHandler(kScripted, std::move(handler));
+    server.Start();
+    rfp::UdRpcClient client(fabric, client_node, server.address(0));
+    *before = 0;
+    engine.Spawn([](rfp::UdRpcClient* c, sim::Engine* e, sim::Time wait,
+                    sim::Time* at) -> sim::Task<void> {
+      co_await e->Sleep(wait);
+      std::vector<std::byte> req(8);
+      std::vector<std::byte> resp(64);
+      co_await c->Call(kScripted, req, resp);
+      *at = e->now();
+    }(&client, &engine, d, done));
+    engine.RunUntil(sim::Micros(60));
+    server.Stop();
+  });
+}
+
+// An idle pooled server waits on its receive CQ instead of polling it
+// every 200 ns, yet serves a request at the tick the polling loop would
+// have: the first tick of its grid at or after the arrival. Requests land
+// 1 ns before a tick, on one, and 1 ns after one (the server's grid is
+// phase 44 ns after its connect); the instants were recorded with the
+// polling loop. The UD RPC server still polls every tick (grid phase 0) and
+// must serve the same cases the same way.
+TEST(DatagramWaitTest, IdleServersServeOnThePollTickGrid) {
+  const sim::Time poll = PooledOptions{}.server_poll_ns;
+  ASSERT_EQ(poll, 200);
+  const std::vector<ServerArrival> pooled = {
+      PooledServedCall(81), PooledServedCall(82), PooledServedCall(83)};
+  EXPECT_EQ(pooled, (std::vector<ServerArrival>{
+                        {4243, 4244, 5769}, {4244, 4244, 5770}, {4245, 4444, 5971}}));
+  const std::vector<ServerArrival> ud = {UdServedCall(81), UdServedCall(82), UdServedCall(83)};
+  EXPECT_EQ(ud, (std::vector<ServerArrival>{
+                    {1399, 1400, 2725}, {1400, 1400, 2726}, {1401, 1600, 2927}}));
+  for (const auto* runs : {&pooled, &ud}) {
+    EXPECT_EQ((*runs)[0].served - (*runs)[0].arrived, 1) << "lands 1 ns before a tick";
+    EXPECT_EQ((*runs)[1].served - (*runs)[1].arrived, 0) << "lands on a tick";
+    EXPECT_EQ((*runs)[2].served - (*runs)[2].arrived, poll - 1) << "lands 1 ns after a tick";
+  }
+}
+
+// A fully armed, idle 4-QP pooled server costs no engine event per poll
+// tick: the polling loops dispatched 4 x 5,000 over 1 ms.
+TEST(DatagramWaitTest, IdlePooledServerDispatchesNoEventPerPollTick) {
+  sim::Engine engine;
+  rdma::Fabric fabric(engine);
+  rdma::Node& server_node = fabric.AddNode("server");
+  rfp::RpcServer rpc(fabric, server_node, 1);
+  PooledServer server(fabric, rpc, {});
+  ASSERT_EQ(server.num_qps(), 4);
+  server.Start();
+  engine.RunUntil(sim::Millis(1));
+  EXPECT_LE(engine.events_processed(), 20u);
+  server.Stop();
 }
 
 }  // namespace

@@ -139,5 +139,44 @@ TEST(CqWaitUntilTest, DestroyedCqLeavesItsWaiterToTheDeadline) {
   EXPECT_EQ(out.at, sim::Micros(5));
 }
 
+// WaitForTick: a poll loop that found the queue empty at tick T (period P)
+// resumes at the first tick T + k·P (k >= 1) at or after the push, in one
+// engine event; a push landing on a tick is seen at that tick, one landing
+// at T itself only at T + P, and a queued completion needs no wait.
+TEST(CqWaitForTickTest, ResumesAtThePollTickThatSeesThePush) {
+  struct Case {
+    sim::Time push_at;
+    sim::Time resumed_at;
+  };
+  for (const Case c : {Case{100, 300}, Case{150, 300}, Case{300, 300}, Case{301, 500},
+                       Case{1299, 1300}}) {
+    sim::Engine engine;
+    CompletionQueue cq(engine);
+    sim::Time at = -1;
+    engine.ScheduleAt(100, [&] {
+      engine.Spawn([](sim::Engine& e, CompletionQueue& q, sim::Time* out) -> sim::Task<void> {
+        EXPECT_TRUE(co_await q.WaitForTick(e.now(), 200));
+        *out = e.now();
+      }(engine, cq, &at));
+    });
+    engine.ScheduleAt(c.push_at, [&] { cq.Push(WorkCompletion{}); });
+    engine.Run();
+    EXPECT_EQ(at, c.resumed_at) << "push at " << c.push_at;
+    // The spawning callback, the push and the one resumption.
+    EXPECT_EQ(engine.events_processed(), 3u) << "push at " << c.push_at;
+  }
+  sim::Engine engine;
+  CompletionQueue cq(engine);
+  cq.Push(WorkCompletion{});
+  bool done = false;
+  engine.Spawn([](CompletionQueue& q, bool* out) -> sim::Task<void> {
+    EXPECT_TRUE(co_await q.WaitForTick(0, 200));
+    *out = true;
+  }(cq, &done));
+  engine.Run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(engine.now(), 0);
+}
+
 }  // namespace
 }  // namespace rdma

@@ -70,6 +70,51 @@ TEST_F(MemoryTest, ByteCopiesRoundTrip) {
   EXPECT_STREQ(out, msg);
 }
 
+// Remote-write watches: a write raises exactly the flags of the watches it
+// overlaps (half-open ranges, so a write ending at a watch's first byte or
+// starting at its end misses it); local stores raise nothing; overlapping
+// watches are rejected; an unwatched range stops raising.
+TEST_F(MemoryTest, RemoteWriteWatchesRaiseOnlyOverlappingFlags) {
+  Node& node = fabric_.AddNode("n0");
+  MemoryRegion* mr = node.RegisterMemory(256, kAccessLocal);
+  uint8_t a = 0;
+  uint8_t b = 0;
+  uint8_t c = 0;
+  mr->Watch(64, 32, &b);  // [64, 96)
+  mr->Watch(0, 32, &a);   // [0, 32)
+  mr->Watch(96, 32, &c);  // [96, 128), adjacent to b
+  EXPECT_THROW(mr->Watch(120, 16, &a), std::invalid_argument);
+  EXPECT_THROW(mr->Watch(40, 30, &a), std::invalid_argument);
+
+  mr->NoteRemoteWrite(32, 32);  // [32, 64): the gap between a and b
+  EXPECT_EQ(a + b + c, 0);
+  mr->NoteRemoteWrite(31, 1);
+  EXPECT_EQ(a, 1);
+  EXPECT_EQ(b + c, 0);
+  a = 0;
+  mr->NoteRemoteWrite(95, 2);  // straddles b and c
+  EXPECT_EQ(a, 0);
+  EXPECT_EQ(b, 1);
+  EXPECT_EQ(c, 1);
+  b = c = 0;
+  mr->NoteRemoteWrite(0, 256);
+  EXPECT_EQ(a + b + c, 3);
+  a = b = c = 0;
+  mr->NoteRemoteWrite(128, 64);  // past the last watch
+  mr->NoteRemoteWrite(64, 0);    // empty
+  mr->Store<uint64_t>(64, 1);    // local store
+  EXPECT_EQ(a + b + c, 0);
+
+  mr->Unwatch(64);
+  mr->NoteRemoteWrite(0, 256);
+  EXPECT_EQ(a, 1);
+  EXPECT_EQ(b, 0);
+  EXPECT_EQ(c, 1);
+  mr->Watch(64, 32, &b);  // the freed range can be watched again
+  mr->NoteRemoteWrite(70, 1);
+  EXPECT_EQ(b, 1);
+}
+
 TEST_F(MemoryTest, RegionsZeroInitialized) {
   Node& node = fabric_.AddNode("n0");
   MemoryRegion* mr = node.RegisterMemory(256, kAccessLocal);
